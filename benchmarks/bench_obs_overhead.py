@@ -51,7 +51,7 @@ MAX_OVERHEAD_FRACTION = 0.05
 #: scheduler noise, so CI only guards against egregious regressions.
 QUICK_EXTRA_SLACK = 0.10
 
-SERVE = ServeConfig(workers=4, batch_size=128, max_wait_ms=2.0)
+SERVE = ServeConfig(workers=4, batch_size=128)
 LOAD = LoadGenConfig(
     clients=8, requests_per_client=20, min_rows=32, max_rows=128, seed=0,
 )

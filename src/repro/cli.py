@@ -138,7 +138,7 @@ def run_metrics(args: argparse.Namespace) -> str:
     )
     server = make_model_server(
         deployed,
-        ServeConfig(workers=1, batch_size=8, max_wait_ms=0.5),
+        ServeConfig(workers=1, batch_size=8),
         warmup_images=images[:2],
         telemetry=telemetry,
     )
@@ -199,10 +199,6 @@ def run_serve_bench(args: argparse.Namespace) -> str:
     from repro.serve import LoadGenConfig, ServeConfig, run_load
 
     telemetry = Telemetry() if args.metrics else None
-    if args.max_wait_ms < 0:
-        raise SystemExit(
-            f"repro serve-bench: --max-wait-ms must be >= 0, got {args.max_wait_ms}"
-        )
     if any(w < 1 for w in args.workers):
         raise SystemExit(
             f"repro serve-bench: --workers must all be >= 1, got {args.workers}"
@@ -266,8 +262,7 @@ def run_serve_bench(args: argparse.Namespace) -> str:
     for workers in workers_list:
         server = make_model_server(
             deployed,
-            ServeConfig(workers=workers, batch_size=batch_size,
-                        max_wait_ms=args.max_wait_ms, pool=pool),
+            ServeConfig(workers=workers, batch_size=batch_size, pool=pool),
             warmup_images=images[:2],
             telemetry=telemetry,
         )
@@ -284,8 +279,7 @@ def run_serve_bench(args: argparse.Namespace) -> str:
         })
     title = (
         f"Serving throughput — {model_name} M=N={bits}, batch {batch_size}, "
-        f"max_wait {args.max_wait_ms}ms, {clients} closed-loop clients, "
-        f"{pool} pool"
+        f"{clients} closed-loop clients, {pool} pool"
     )
     output = render_dict_table(rows, ["config", "rows_per_s", "p50_ms", "p99_ms"],
                                title=title)
@@ -851,10 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replica pool backend for serve-bench: worker threads "
              "sharing the deployed module, or spawned worker processes "
              "fed through shared-memory tensors",
-    )
-    serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="micro-batch formation wait budget",
     )
     serve.add_argument(
         "--quick", action="store_true",

@@ -285,9 +285,9 @@ def make_model_server(
     forwarded to every replica's :class:`~repro.runtime.engine.
     EngineConfig`.  Pass ``warmup_images`` to trace all plans before the
     first request, and ``serve_config`` (a :class:`~repro.serve.server.
-    ServeConfig`) to tune workers / batch size / wait budget / queue
-    bound.  See ``docs/serving.md`` for the architecture and tuning
-    guide.  ``telemetry`` (a :class:`repro.obs.Telemetry`) instruments
+    ServeConfig`) to tune workers / batch size / queue bound.  See
+    ``docs/serving.md`` for the architecture and tuning guide.
+    ``telemetry`` (a :class:`repro.obs.Telemetry`) instruments
     the queue, batcher, replicas, and every replica engine.
 
     With ``serve_config.pool == "process"`` the replicas become worker

@@ -8,9 +8,9 @@ system":
 - :mod:`repro.serve.queue` — bounded admission with explicit
   backpressure (:class:`ServerOverloaded`) and per-request deadlines
   (:class:`DeadlineExceeded`).
-- :mod:`repro.serve.batcher` — dynamic micro-batching: coalesce queued
-  requests to ``batch_size`` rows or a ``max_wait`` budget, scatter
-  logits back bit-exactly.
+- :mod:`repro.serve.batcher` — work-conserving micro-batching: an idle
+  replica takes whatever is queued, up to ``batch_size`` rows, with no
+  wait budget; logits scatter back bit-exactly.
 - :mod:`repro.serve.pool` — a replica pool of worker threads, each
   owning its own :class:`~repro.runtime.engine.InferenceEngine`, with
   health probes, degraded-mode fallback, and graceful drain.

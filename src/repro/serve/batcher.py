@@ -5,17 +5,16 @@ compiled :class:`~repro.runtime.engine.InferenceEngine`) amortize their
 per-invocation overhead across the batch dimension — Table 5's speedups
 assume the substrate is kept *full*.  Interactive traffic arrives one
 small request at a time, so the :class:`MicroBatcher` sits between the
-admission queue and the engines and coalesces:
+admission queue and the engines and coalesces **work-conservingly**: a
+replica asking for a batch is idle, so it blocks only for the first
+request, then drains whatever else is already queued — up to
+``batch_size`` rows — and dispatches at once.  There is no wait budget:
+an idle replica never sleeps while a request is queued, and batches
+grow on their own while every replica is busy and requests pile up.
 
-- dispatch as soon as ``batch_size`` rows are gathered, **or**
-- after ``max_wait_s`` has elapsed since the first request of the batch
-  was pulled (bounded latency: a lone request never waits for company
-  longer than the wait budget),
-
-whichever comes first.  The request→row mapping is carried in the
-:class:`MicroBatch` so logits are scattered back to each caller's future
-bit-exactly — batching is a throughput optimization, never a semantic
-change.
+The request→row mapping is carried in the :class:`MicroBatch` so logits
+are scattered back to each caller's future bit-exactly — batching is a
+throughput optimization, never a semantic change.
 """
 
 from __future__ import annotations
@@ -74,17 +73,13 @@ class MicroBatcher:
         self,
         queue: AdmissionQueue,
         batch_size: int,
-        max_wait_s: float = 0.002,
         clock: Optional[Callable[[], float]] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         self.queue = queue
         self.batch_size = batch_size
-        self.max_wait_s = max_wait_s
         self.telemetry = telemetry
         if clock is not None:
             self.clock = clock
@@ -101,33 +96,24 @@ class MicroBatcher:
             self._obs_coalesced = registry.histogram(
                 "serve_batch_requests", help="Requests coalesced per micro-batch")
 
-    def next_batch(self, poll_s: float = 0.25) -> Optional[MicroBatch]:
+    def next_batch(self) -> Optional[MicroBatch]:
         """Block for the next batch; ``None`` once the queue is drained shut.
 
-        Waits (in ``poll_s`` slices, so a closed queue is noticed) for a
-        first request, then coalesces more until the batch is full or the
-        wait budget is spent.
+        Blocks for a first request, then drains the queued requests that
+        still fit in ``batch_size`` rows and returns without waiting for
+        more.  A first request larger than ``batch_size`` dispatches
+        alone; a queued request that does not fit stays at the head for
+        the next batch.
         """
-        first = None
-        while first is None:
-            first = self.queue.pop(timeout=poll_s)
-            if first is None and self.queue.closed:
-                return None
+        first = self.queue.pop()
+        if first is None:  # closed and empty
+            return None
         requests = [first]
         gathered = first.rows
-        wait_until = self.clock() + self.max_wait_s
         while gathered < self.batch_size:
-            request = self.queue.pop_nowait()
+            request = self.queue.pop_nowait(max_rows=self.batch_size - gathered)
             if request is None:
-                remaining = wait_until - self.clock()
-                if remaining <= 0 or self.queue.closed:
-                    break
-                # Blocking pop waits on the queue's condition variable —
-                # no sleep-polling, so a coalescing worker costs nothing
-                # until a request actually arrives.
-                request = self.queue.pop(timeout=remaining)
-                if request is None:
-                    break
+                break
             requests.append(request)
             gathered += request.rows
         return self._assemble(requests)

@@ -87,12 +87,37 @@ class LoadReport:
     rows_served: int
     wall_s: float
     latencies_s: List[float] = field(default_factory=list)
-    #: Per-request provenance: ``{"client", "index", "offset", "rows",
-    #: "substream"}`` for every *scheduled* request, in schedule order.
-    #: The ``substream`` entry is the exact :func:`request_substream_key`
-    #: that generated the request, so any single request can be rebuilt
-    #: in isolation without replanning the whole run.
-    request_log: List[dict] = field(default_factory=list)
+    #: The offered load and image pool size; :attr:`request_log` is
+    #: rebuilt from them.
+    config: Optional[LoadGenConfig] = None
+    image_pool_size: int = 0
+
+    @property
+    def request_log(self) -> List[dict]:
+        """Per-request provenance, in schedule order.
+
+        ``{"client", "index", "offset", "rows", "substream"}`` for every
+        *scheduled* request; ``substream`` is the exact
+        :func:`request_substream_key` that generated the request, so any
+        single request can be rebuilt in isolation without replanning
+        the whole run.  The schedule is a pure function of the config,
+        so the log is rebuilt on demand rather than held per request for
+        the life of the report.
+        """
+        if self.config is None:
+            return []
+        config = self.config
+        return [
+            {
+                "client": client,
+                "index": index,
+                "offset": offset,
+                "rows": rows,
+                "substream": request_substream_key(config, client, index),
+            }
+            for client, plan in enumerate(plan_requests(config, self.image_pool_size))
+            for index, (offset, rows) in enumerate(plan)
+        ]
 
     @property
     def throughput_rows_per_s(self) -> float:
@@ -125,7 +150,7 @@ class LoadReport:
             "throughput_requests_per_s": self.throughput_requests_per_s,
             "latency_p50_ms": self.latency_ms(50),
             "latency_p99_ms": self.latency_ms(99),
-            "request_log": list(self.request_log),
+            "request_log": self.request_log,
         }
 
 
@@ -183,20 +208,8 @@ def run_load(server, images: np.ndarray, config: LoadGenConfig) -> LoadReport:
         requests_sent=0, requests_ok=0, requests_rejected=0,
         requests_deadline_expired=0, requests_failed=0,
         rows_served=0, wall_s=0.0,
+        config=config, image_pool_size=len(images),
     )
-    # Provenance is a property of the schedule, not the run — record it
-    # up front so even rejected/failed requests stay reproducible.
-    report.request_log = [
-        {
-            "client": client,
-            "index": index,
-            "offset": offset,
-            "rows": rows,
-            "substream": request_substream_key(config, client, index),
-        }
-        for client, plan in enumerate(schedule)
-        for index, (offset, rows) in enumerate(plan)
-    ]
     lock = threading.Lock()
 
     def client_loop(client: int) -> None:

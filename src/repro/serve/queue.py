@@ -259,18 +259,26 @@ class AdmissionQueue:
                     return None
                 self._not_empty.wait(remaining)
 
-    def pop_nowait(self) -> Optional[ServeRequest]:
-        """Non-blocking :meth:`pop` (the batcher's coalescing path)."""
-        with self._lock:
-            return self._pop_admissible_locked()
+    def pop_nowait(self, max_rows: Optional[int] = None) -> Optional[ServeRequest]:
+        """Non-blocking :meth:`pop` (the batcher's coalescing path).
 
-    def _pop_admissible_locked(self) -> Optional[ServeRequest]:
+        With ``max_rows``, the oldest unexpired request is popped only if
+        it has at most that many rows; otherwise it stays at the head
+        and ``None`` is returned.
+        """
+        with self._lock:
+            return self._pop_admissible_locked(max_rows)
+
+    def _pop_admissible_locked(
+        self, max_rows: Optional[int] = None,
+    ) -> Optional[ServeRequest]:
         now = self.clock()
         observed = self.telemetry is not None
         while self._items:
-            request = self._items.pop(0)
-            self._rows -= request.rows
+            request = self._items[0]
             if request.expired(now):
+                del self._items[0]
+                self._rows -= request.rows
                 if observed:
                     self._obs_expired.inc()
                     self._obs_depth_locked()
@@ -279,6 +287,10 @@ class AdmissionQueue:
                     f"{now - request.enqueued_at:.4f}s in queue"
                 ))
                 continue
+            if max_rows is not None and request.rows > max_rows:
+                return None
+            del self._items[0]
+            self._rows -= request.rows
             if observed:
                 self._obs_wait.observe(now - request.enqueued_at)
                 self._obs_depth_locked()

@@ -3,8 +3,8 @@
 Composes the serving layer end to end::
 
     callers ──submit──▶ AdmissionQueue ──▶ MicroBatcher ──▶ ReplicaPool
-                 │  (bounded, deadlines)   (coalesce to      │ (N engines)
-                 │                          batch/max-wait)  ├─▶ InferenceEngine
+                 │  (bounded, deadlines)   (drain queued     │ (N engines)
+                 │                          ≤ batch_size)    ├─▶ InferenceEngine
                  ◀──────────── ServeFuture ◀─ scatter ───────┴─▶ guard fallback
 
 A server is built from an *engine factory* so each replica owns its own
@@ -47,12 +47,10 @@ class ServeConfig:
     workers:
         Replica count (one engine + one thread each).
     batch_size:
-        Target micro-batch rows; dispatch happens at this size or at
-        ``max_wait_ms``, whichever first.
-    max_wait_ms:
-        Batch-formation wait budget.  ``0`` disables coalescing delay
-        (lowest latency, smallest batches); a few ms trades p50 latency
-        for throughput under load.
+        Micro-batch row cap.  An idle replica takes the first queued
+        request and whatever else is queued up to this many rows, then
+        dispatches at once (no wait budget); only a single request
+        larger than the cap exceeds it.
     max_queue_rows:
         Admission bound (image rows).  Submissions beyond it are
         rejected with :class:`~repro.serve.queue.ServerOverloaded`.
@@ -87,7 +85,6 @@ class ServeConfig:
 
     workers: int = 4
     batch_size: int = 128
-    max_wait_ms: float = 2.0
     max_queue_rows: int = 4096
     default_deadline_ms: Optional[float] = None
     probe_every_batches: int = 0
@@ -113,8 +110,6 @@ class ServeConfig:
             )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_queue_rows < 1:
             raise ValueError(f"max_queue_rows must be >= 1, got {self.max_queue_rows}")
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
@@ -196,7 +191,6 @@ class ModelServer:
         self.batcher = MicroBatcher(
             self.queue,
             batch_size=self.config.batch_size,
-            max_wait_s=self.config.max_wait_ms / 1e3,
             clock=clock,
             telemetry=telemetry,
         )

@@ -15,13 +15,14 @@ Engine logits are bit-reproducible only for identical batch shapes
 contract (:class:`~repro.snc.temporal.TemporalConfig.batch_windows`).
 Sessions submit windows in exactly the canonical
 :func:`~repro.snc.temporal.window_groups` grouping, and the constructor
-*requires* the server's ``batch_size`` to equal ``batch_windows`` with
-``max_wait_ms == 0`` — a full group fills a micro-batch on arrival, so
-the batcher dispatches it alone and served logits are bit-equal to a
-direct :func:`~repro.snc.temporal.replay_frames` of the same stream.
-(The final, shorter group of a stream can in principle coalesce with a
-*concurrently pending* foreign request; finish sessions one at a time,
-or accept last-ulp differences on tail windows under contended closes.)
+*requires* the server's ``batch_size`` to equal ``batch_windows``.  The
+batcher never lets a batch exceed ``batch_size`` by coalescing, so a
+full group fills a micro-batch alone and served logits are bit-equal to
+a direct :func:`~repro.snc.temporal.replay_frames` of the same stream.
+(The final, shorter group of a stream can in principle coalesce with
+another *concurrently queued* short group that still fits; finish
+sessions one at a time, or accept last-ulp differences on tail windows
+under contended closes.)
 
 Lifecycle
 ---------
@@ -340,8 +341,8 @@ class StreamingServer:
     """Session manager layering event-stream traffic onto a ModelServer.
 
     The wrapped server must be grouping-aligned (see the module
-    docstring): ``batch_size == temporal.batch_windows`` and
-    ``max_wait_ms == 0``.  :meth:`for_system` builds such a server from a
+    docstring): ``batch_size == temporal.batch_windows``.
+    :meth:`for_system` builds such a server from a
     :class:`~repro.snc.system.SpikingSystem` directly.
     """
 
@@ -357,11 +358,6 @@ class StreamingServer:
                     f"temporal.batch_windows "
                     f"({self.config.temporal.batch_windows}) — grouping is the "
                     f"bit-exactness contract"
-                )
-            if server_config.max_wait_ms != 0:
-                raise ValueError(
-                    "server max_wait_ms must be 0 for streaming sessions "
-                    "(coalescing across sessions breaks grouping)"
                 )
         self.clock = clock if clock is not None else server.clock
         self.sessions: Dict[str, StreamSession] = {}
@@ -392,7 +388,6 @@ class StreamingServer:
             serve_config=ServeConfig(
                 workers=workers,
                 batch_size=config.temporal.batch_windows,
-                max_wait_ms=0.0,
             ),
             telemetry=telemetry,
         )

@@ -87,7 +87,7 @@ class TestNIRConformance:
         telemetry = _telemetry(observed)
         server = make_model_server(
             rebuilt,
-            ServeConfig(workers=2, batch_size=BATCH_ROWS, max_wait_ms=0.5),
+            ServeConfig(workers=2, batch_size=BATCH_ROWS),
             warmup_images=images[:2],
             telemetry=telemetry,
             dtype=np.float64,

@@ -100,8 +100,7 @@ def test_process_server_matches_direct_engine(deployment, variant, observed):
     telemetry = Telemetry() if observed else None
     server = make_model_server(
         copy.deepcopy(deployed),
-        ServeConfig(workers=1, batch_size=BATCH_ROWS, max_wait_ms=0.5,
-                    pool="process"),
+        ServeConfig(workers=1, batch_size=BATCH_ROWS, pool="process"),
         warmup_images=images[:2],
         telemetry=telemetry,
         **overrides,

@@ -28,25 +28,37 @@ def tagged(rows, tag):
 class TestCoalescing:
     def test_dispatch_at_batch_size(self):
         queue = AdmissionQueue(max_rows=256)
-        batcher = MicroBatcher(queue, batch_size=8, max_wait_s=60.0)
+        batcher = MicroBatcher(queue, batch_size=8)
         for tag in range(4):
             queue.submit(tagged(4, tag))
         batch = batcher.next_batch()
-        # Full after two 4-row requests: never waits out a 60s budget.
+        # Full after two 4-row requests; the other two stay queued.
         assert [r.rows for r in batch.requests] == [4, 4]
         assert batch.rows == 8
+        assert len(queue) == 2
 
     def test_oversized_first_request_dispatches_alone(self):
         queue = AdmissionQueue(max_rows=256)
-        batcher = MicroBatcher(queue, batch_size=8, max_wait_s=60.0)
+        batcher = MicroBatcher(queue, batch_size=8)
         queue.submit(tagged(12, 1))
         queue.submit(tagged(1, 2))
         batch = batcher.next_batch()
         assert [r.rows for r in batch.requests] == [12]
 
+    def test_request_that_does_not_fit_stays_queued_for_next_batch(self):
+        queue = AdmissionQueue(max_rows=256)
+        batcher = MicroBatcher(queue, batch_size=8)
+        first = queue.submit(tagged(5, 1))
+        second = queue.submit(tagged(4, 2))  # 5 + 4 would overshoot 8
+        batch = batcher.next_batch()
+        assert batch.requests == [first]
+        assert batch.rows == 5
+        assert queue.depth() == {"requests": 1, "rows": 4}
+        assert batcher.next_batch().requests == [second]
+
     def test_zero_wait_dispatches_whatever_is_queued(self):
         queue = AdmissionQueue(max_rows=256)
-        batcher = MicroBatcher(queue, batch_size=64, max_wait_s=0.0)
+        batcher = MicroBatcher(queue, batch_size=64)
         queue.submit(tagged(2, 1))
         queue.submit(tagged(3, 2))
         batch = batcher.next_batch()
@@ -54,15 +66,15 @@ class TestCoalescing:
 
     def test_returns_none_once_closed_and_drained(self):
         queue = AdmissionQueue(max_rows=256)
-        batcher = MicroBatcher(queue, batch_size=8, max_wait_s=0.0)
+        batcher = MicroBatcher(queue, batch_size=8)
         queue.submit(tagged(2, 1))
         queue.close()
         assert batcher.next_batch() is not None
-        assert batcher.next_batch(poll_s=0.01) is None
+        assert batcher.next_batch() is None
 
     def test_batch_images_concatenate_in_request_order(self):
         queue = AdmissionQueue(max_rows=256)
-        batcher = MicroBatcher(queue, batch_size=4, max_wait_s=60.0)
+        batcher = MicroBatcher(queue, batch_size=4)
         queue.submit(tagged(2, 7))
         queue.submit(tagged(2, 9))
         batch = batcher.next_batch()
@@ -74,7 +86,7 @@ class TestScatter:
     def _batch_of(self, sizes):
         queue = AdmissionQueue(max_rows=4096)
         requests = [queue.submit(tagged(rows, tag)) for tag, rows in enumerate(sizes)]
-        batcher = MicroBatcher(queue, batch_size=sum(sizes), max_wait_s=60.0)
+        batcher = MicroBatcher(queue, batch_size=sum(sizes))
         return batcher.next_batch(), requests
 
     def test_each_future_gets_its_own_rows(self):
@@ -135,11 +147,12 @@ class TestScatterGatherProperty:
         for tag in order:  # arrival order is the shuffled permutation
             requests[tag] = queue.submit(tagged(sizes[tag], tag))
         queue.close()  # drained-shut queue → deterministic batch walk
-        batcher = MicroBatcher(queue, batch_size=batch_size, max_wait_s=0.0)
+        batcher = MicroBatcher(queue, batch_size=batch_size)
         while True:
-            batch = batcher.next_batch(poll_s=0.0)
+            batch = batcher.next_batch()
             if batch is None:
                 break
+            assert batch.rows <= batch_size or len(batch.requests) == 1
             batch.scatter(logits_of(batch.images))
         for tag, request in requests.items():
             np.testing.assert_array_equal(

@@ -119,7 +119,7 @@ class TestRunLoad:
         images = np.arange(64, dtype=np.float64).reshape(16, 1, 2, 2)
         config = LoadGenConfig(clients=3, requests_per_client=4, max_rows=6, seed=1)
         with ModelServer(
-            Engine, config=ServeConfig(workers=2, batch_size=8, max_wait_ms=1.0)
+            Engine, config=ServeConfig(workers=2, batch_size=8)
         ) as server:
             report = run_load(server, images, config)
         assert report.requests_failed == 0

@@ -40,7 +40,7 @@ def make_batch(queue_rows=4096, sizes=(3,), batch_size=None, tag0=1):
         for i, rows in enumerate(sizes)
     ]
     batcher = MicroBatcher(
-        queue, batch_size=batch_size or sum(sizes), max_wait_s=60.0
+        queue, batch_size=batch_size or sum(sizes)
     )
     return batcher.next_batch(), requests
 
@@ -158,7 +158,7 @@ class TestReplicaFailures:
 class TestPoolLifecycle:
     def _pool(self, workers=2, **kwargs):
         queue = AdmissionQueue(max_rows=4096)
-        batcher = MicroBatcher(queue, batch_size=8, max_wait_s=0.001)
+        batcher = MicroBatcher(queue, batch_size=8)
         pool = ReplicaPool(FakeEngine, batcher, workers=workers, **kwargs)
         return queue, pool
 
@@ -214,6 +214,79 @@ class TestPoolLifecycle:
         assert {r["backend"] for r in stats.replicas} == {"fake"}
 
 
+class RecordingBatcher(MicroBatcher):
+    """A batcher that remembers the row count of every batch it forms."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.formed = []
+
+    def next_batch(self):
+        batch = super().next_batch()
+        if batch is not None:
+            self.formed.append(batch.rows)
+        return batch
+
+
+class TestWorkConservingBatching:
+    def test_burst_fills_batches_while_every_replica_is_busy(self):
+        """Open-loop burst: with every replica stuck in its engine, single-
+        row requests pile up; once released, each batch drains exactly
+        ``batch_size`` rows — coalescing needs no wait budget."""
+        workers, batch_size, burst = 2, 8, 48
+        release = threading.Event()
+        entered = threading.Semaphore(0)
+
+        class GatedEngine(FakeEngine):
+            def run(self, images):
+                entered.release()
+                release.wait(10.0)
+                return super().run(images)
+
+        queue = AdmissionQueue(max_rows=4096)
+        batcher = RecordingBatcher(queue, batch_size=batch_size)
+        pool = ReplicaPool(GatedEngine, batcher, workers=workers,
+                           compute_slots=workers)
+        pool.start()
+        try:
+            # Occupy the replicas one at a time, so each holds one request.
+            blockers = []
+            for i in range(workers):
+                blockers.append(queue.submit(np.full((1, 4), float(i))))
+                assert entered.acquire(timeout=10.0), "replica never ran"
+            assert batcher.formed == [1] * workers
+            requests = [queue.submit(np.full((1, 4), float(i)))
+                        for i in range(burst)]
+            release.set()
+            for request in blockers + requests:
+                np.testing.assert_array_equal(
+                    request.future.result(10.0), logits_of(request.images)
+                )
+        finally:
+            release.set()
+            pool.close()
+        assert batcher.formed[workers:] == [batch_size] * (burst // batch_size)
+
+    def test_lone_request_on_idle_pool_dispatches_without_clock_advancing(self):
+        """No timed wait remains: with a frozen clock, a lone request is
+        still served (a wait budget measured on this clock would never
+        run out)."""
+        clock = FakeClock(start=7.0)
+        queue = AdmissionQueue(max_rows=4096, clock=clock)
+        batcher = RecordingBatcher(queue, batch_size=8, clock=clock)
+        pool = ReplicaPool(FakeEngine, batcher, workers=2)
+        pool.start()
+        try:
+            request = queue.submit(np.full((1, 4), 3.0))
+            np.testing.assert_array_equal(
+                request.future.result(10.0), logits_of(request.images)
+            )
+        finally:
+            pool.close()
+        assert clock() == 7.0
+        assert batcher.formed == [1]
+
+
 class TestCloseRaces:
     """Regression tests: close() overlapping an in-flight probe or a
     racing submit must leave the semaphore and queue state consistent."""
@@ -237,7 +310,7 @@ class TestCloseRaces:
             return True
 
         queue = AdmissionQueue(max_rows=4096, clock=clock)
-        batcher = MicroBatcher(queue, batch_size=8, max_wait_s=0.0, clock=clock)
+        batcher = MicroBatcher(queue, batch_size=8, clock=clock)
         pool = ReplicaPool(
             FakeEngine, batcher, workers=2, compute_slots=2,
             health_probe=slow_probe, probe_every_batches=1,
@@ -326,7 +399,7 @@ class TestTraceSerialization:
                         cls.concurrent -= 1
 
         queue = AdmissionQueue(max_rows=4096)
-        batcher = MicroBatcher(queue, batch_size=4, max_wait_s=0.0)
+        batcher = MicroBatcher(queue, batch_size=4)
         pool = ReplicaPool(
             PlanlessEngine, batcher, workers=4, compute_slots=4
         )

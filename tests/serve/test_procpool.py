@@ -67,8 +67,7 @@ def _requests(shape_tail, total_rows, seed):
 
 
 def _process_server(deployed, images, **config_kwargs):
-    kwargs = dict(workers=1, batch_size=BATCH_ROWS, max_wait_ms=1.0,
-                  pool="process")
+    kwargs = dict(workers=1, batch_size=BATCH_ROWS, pool="process")
     kwargs.update(config_kwargs)
     return make_model_server(
         deployed,
@@ -170,7 +169,7 @@ class TestChaos:
         telemetry = Telemetry()
         server = make_model_server(
             deployed,
-            ServeConfig(workers=2, batch_size=BATCH_ROWS, max_wait_ms=1.0,
+            ServeConfig(workers=2, batch_size=BATCH_ROWS,
                         pool="process", max_restarts=len(kill_after),
                         worker_timeout_s=60.0),
             warmup_images=images[:2],

@@ -136,6 +136,35 @@ class TestDeadlines:
         queue.submit(batch(4))  # budget released
 
 
+class TestMaxRows:
+    def test_head_that_does_not_fit_stays_queued(self):
+        queue = AdmissionQueue(max_rows=16)
+        big = queue.submit(batch(5))
+        assert queue.pop_nowait(max_rows=4) is None
+        assert queue.depth() == {"requests": 1, "rows": 5}
+        assert not big.future.done()
+        assert queue.pop_nowait(max_rows=5) is big
+
+    def test_never_skips_past_the_head(self):
+        """FIFO holds: a small request behind a too-large head waits."""
+        queue = AdmissionQueue(max_rows=16)
+        queue.submit(batch(5))
+        queue.submit(batch(1))
+        assert queue.pop_nowait(max_rows=4) is None
+        assert len(queue) == 2
+
+    def test_expired_heads_shed_before_the_fit_check(self):
+        clock = FakeClock()
+        queue = AdmissionQueue(max_rows=16, clock=clock)
+        doomed = queue.submit(batch(8), deadline_s=0.5)
+        fits = queue.submit(batch(2))
+        clock.advance(1.0)
+        assert queue.pop_nowait(max_rows=2) is fits
+        with pytest.raises(DeadlineExceeded):
+            doomed.future.result(0)
+        assert queue.depth() == {"requests": 0, "rows": 0}
+
+
 class TestLifecycle:
     def test_submit_after_close_raises_server_closed(self):
         queue = AdmissionQueue(max_rows=8)

@@ -66,11 +66,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize("overrides", [
         {"workers": 0},
         {"batch_size": 0},
-        {"max_wait_ms": -1.0},
         {"max_queue_rows": 0},
         {"default_deadline_ms": 0.0},
         {"compute_slots": 0},
         {"latency_window": 0},
+        {"worker_timeout_s": 0.0},
     ])
     def test_bad_config_rejected(self, overrides):
         with pytest.raises(ValueError):
@@ -80,8 +80,7 @@ class TestConfigValidation:
 class TestBackpressure:
     def test_queue_full_raises_server_overloaded_synchronously(self):
         gate = threading.Event()  # engine stalls: nothing ever drains
-        config = ServeConfig(workers=1, batch_size=4, max_wait_ms=0.0,
-                             max_queue_rows=8)
+        config = ServeConfig(workers=1, batch_size=4, max_queue_rows=8)
         server = fake_server(config, gate=gate)
         try:
             server.submit_async(np.ones((4, 3)))  # pulled into flight
@@ -97,8 +96,7 @@ class TestBackpressure:
 
     def test_rejected_request_not_counted_completed(self):
         gate = threading.Event()
-        config = ServeConfig(workers=1, batch_size=4, max_wait_ms=0.0,
-                             max_queue_rows=4)
+        config = ServeConfig(workers=1, batch_size=4, max_queue_rows=4)
         server = fake_server(config, gate=gate)
         try:
             in_flight = server.submit_async(np.ones((4, 3)))
@@ -120,7 +118,7 @@ class TestBackpressure:
 class TestDeadlines:
     def test_expired_request_gets_deadline_exceeded(self):
         gate = threading.Event()
-        config = ServeConfig(workers=1, batch_size=4, max_wait_ms=0.0)
+        config = ServeConfig(workers=1, batch_size=4)
         server = fake_server(config, gate=gate)
         try:
             blocker = server.submit_async(np.ones((4, 3)))  # occupies the worker
@@ -137,8 +135,7 @@ class TestDeadlines:
 
     def test_default_deadline_applies(self):
         gate = threading.Event()
-        config = ServeConfig(workers=1, batch_size=4, max_wait_ms=0.0,
-                             default_deadline_ms=5.0)
+        config = ServeConfig(workers=1, batch_size=4, default_deadline_ms=5.0)
         server = fake_server(config, gate=gate)
         try:
             blocker = server.submit_async(np.ones((4, 3)), deadline_ms=10_000.0)
@@ -156,7 +153,7 @@ class TestDeadlines:
 
 class TestShutdown:
     def test_drain_close_flushes_in_flight_requests(self):
-        config = ServeConfig(workers=2, batch_size=4, max_wait_ms=0.0)
+        config = ServeConfig(workers=2, batch_size=4)
         server = fake_server(config, delay_s=0.005)
         futures = [server.submit_async(np.full((2, 3), float(i)))
                    for i in range(10)]
@@ -180,7 +177,7 @@ class TestShutdown:
 
 class TestStats:
     def test_stats_shape_and_latency_percentiles(self):
-        config = ServeConfig(workers=2, batch_size=4, max_wait_ms=0.0)
+        config = ServeConfig(workers=2, batch_size=4)
         with fake_server(config) as server:
             for _ in range(6):
                 server.submit(np.ones((2, 3)))
@@ -223,7 +220,7 @@ class TestServingIntegration:
         net, images = deployed
         engine = make_inference_engine(net)
         direct = engine.run(images[:12])
-        config = ServeConfig(workers=2, batch_size=8, max_wait_ms=2.0)
+        config = ServeConfig(workers=2, batch_size=8)
         with make_model_server(net, config, warmup_images=images[:2]) as server:
             batched = server.submit(images[:12])
             singles = server.submit_many(
@@ -235,7 +232,7 @@ class TestServingIntegration:
     def test_concurrent_callers_each_get_their_rows(self, deployed):
         net, images = deployed
         engine = make_inference_engine(net)
-        config = ServeConfig(workers=2, batch_size=16, max_wait_ms=2.0)
+        config = ServeConfig(workers=2, batch_size=16)
         slices = [images[i : i + 3] for i in range(0, 21, 3)]
         results = [None] * len(slices)
         with make_model_server(net, config, warmup_images=images[:2]) as server:

@@ -68,7 +68,6 @@ def make_streaming(stream_config=None, clock=None, batch_size=None):
         config=ServeConfig(
             workers=1,
             batch_size=batch_size or config.temporal.batch_windows,
-            max_wait_ms=0.0,
         ),
     )
     try:
@@ -107,16 +106,6 @@ class TestGroupingContract:
     def test_batch_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
             make_streaming(batch_size=8)  # temporal.batch_windows is 4
-
-    def test_nonzero_wait_rejected(self):
-        server = ModelServer(
-            FakeEngine, config=ServeConfig(workers=1, batch_size=4, max_wait_ms=2.0)
-        )
-        try:
-            with pytest.raises(ValueError, match="max_wait_ms"):
-                StreamingServer(server, StreamConfig())
-        finally:
-            server.close()
 
 
 class TestSessionMechanics:
