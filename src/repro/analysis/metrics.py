@@ -24,8 +24,8 @@ def _batched_logits(model: Module, dataset: Dataset, batch_size: int):
 
     Eval loops dominate experiment wall-clock, so batches run through an
     :class:`~repro.runtime.engine.InferenceEngine` plan (float64, integer
-    path off — bit-identical to the graph executor; untraceable topologies
-    fall back to the graph transparently).  The engine is per-call, so
+    path off — bit-identical to the graph executor; modules the plan
+    compiler cannot lower fall back to the graph transparently).  The engine is per-call, so
     weight updates between calls are always picked up.
     """
     from repro.runtime.engine import EngineConfig, InferenceEngine

@@ -51,6 +51,7 @@ RULES: Dict[str, str] = {
     "QC501": "crossbar budget overrun (Eq. 1 tile count exceeds the configured maximum)",
     "QC502": "weight codes are not representable in the memristor conductance range",
     "QC503": "no spare-tile headroom remains for remediation",
+    "PL600": "model does not compile to an integer execution plan (graph fallback)",
     "PL601": "worst-case integer GEMM accumulator can overflow its declared carrier",
     "PL602": "copy program or pooled buffers alias (overlapping live memory)",
     "PL603": "step boundary breaks a layout, counts-window, or dtype contract",

@@ -20,24 +20,35 @@ PL601
     accumulator dtype.
 PL602
     Aliasing safety.  No cached copy-program ``(dst, src)`` pair may
-    overlap byte ranges of the same base allocation, and no two steps may
-    share one pooled allocation.
+    overlap byte ranges of the same base allocation.  Steps share one
+    allocation only through the plan's scratch arena: a base claimed by
+    several steps is allowed only when every claim is an arena view of a
+    scratch tag, any step output or value held for a join that overlaps
+    the arena is flagged, and the scratch views of one step at one batch
+    size must be pairwise disjoint.
 PL603
-    Boundary contracts.  The declared layout chain must be consistent
-    step-to-step (batch-last ``(C,H,W,B)`` handoffs land only on steps
-    that accept them, the plan ends batch-major or flat), the counts
-    window each step consumes must equal the window its producer emitted,
-    and pooled accumulator/output buffers must carry exactly the dtypes
-    the step declares (``describe()`` honesty).
+    Boundary contracts, tracked per value slot.  The declared layout
+    chain must be consistent step-to-step (batch-last ``(C,H,W,B)``
+    handoffs land only on steps that accept them, the plan ends
+    batch-major or flat), the counts window each step consumes must equal
+    the window its producer emitted, a residual join's two inputs must
+    agree on layout, counts window and IFC gain (and a projection's
+    un-floored affine sum may feed only a projection join), and pooled
+    accumulator/output buffers must carry exactly the dtypes the step
+    declares (``describe()`` honesty).
 PL604
     Shift-epilogue feasibility — the plan-level twin of QS220/QS221:
     every requantize scale sits exactly on the power-of-two grid, shifts
     are within ``[0, 62]``, and the folded integer offsets are finite.
 PL605
     Replay purity.  Every pooled allocation must be claimed by a declared
-    workspace tag of an existing step — a semantic complement to the
-    RL002 AST lint: not only does no replay body *allocate*, the traced
-    working set contains nothing a step did not declare.
+    workspace tag of an existing step, and every arena view by a tag the
+    step declares scratch — a semantic complement to the RL002 AST lint:
+    not only does no replay body *allocate*, the working set contains
+    nothing a step did not declare.
+
+PL600 is reported by ``repro check --plans`` (not by this module) when a
+model fails to compile to an integer plan at all.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ from repro.check.abstract import _interval_affine
 from repro.check.diagnostics import CheckReport
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only for annotations
-    from repro.runtime.plan import ExecutionPlan, PlanIR, StepIR
+    from repro.runtime.plan import ExecutionPlan, JoinIR, PlanIR, StepIR
 
 #: Largest magnitude each float BLAS carrier accumulates exactly
 #: (its mantissa width): beyond this, integer sums silently round.
@@ -147,7 +158,7 @@ def _rule_pl601(report: CheckReport, ir: "PlanIR") -> None:
 
 
 def _rule_pl602(report: CheckReport, ir: "PlanIR") -> None:
-    """Aliasing: copy-program views and pooled-buffer ownership."""
+    """Aliasing: copy-program views, arena sharing and pooled ownership."""
     for step in ir.steps:
         for pair_index, (dst, src) in enumerate(step.copy_views or ()):
             if dst.overlaps(src):
@@ -160,29 +171,59 @@ def _rule_pl602(report: CheckReport, ir: "PlanIR") -> None:
                     dst=(dst.lo, dst.hi), src=(src.lo, src.hi),
                     shape=list(dst.shape),
                 )
-    owners_by_base: Dict[int, set] = {}
     for buf in ir.buffers:
-        owners_by_base.setdefault(buf.base, set()).add((buf.owner, buf.tag))
-    for base, owners in owners_by_base.items():
-        step_owners = {owner for owner, _ in owners}
-        if len(step_owners) > 1:
-            claims = ", ".join(
-                f"step{owner}[{tag or 'base'}]" for owner, tag in sorted(
-                    owners, key=lambda item: (str(item[0]), item[1]))
+        if not buf.scratch and buf.base == ir.arena:
+            report.add(
+                "PL602", "error", f"step{buf.owner}",
+                f"{buf.tag or 'base'!r} ({buf.shape}, {buf.dtype}) overlaps the "
+                "scratch arena; the next step's scratch would overwrite it "
+                "while it is still live",
+                hint="step outputs and values held for a join need their own "
+                     "allocation",
+                tag=buf.tag, owner=str(buf.owner),
             )
+    claims_by_base: Dict[int, list] = {}
+    for buf in ir.buffers:
+        claims_by_base.setdefault(buf.base, []).append(buf)
+    for claims in claims_by_base.values():
+        step_owners = {buf.owner for buf in claims}
+        if len(step_owners) > 1 and not all(buf.scratch for buf in claims):
+            names = ", ".join(sorted(
+                f"step{buf.owner}[{buf.tag or 'base'}]" for buf in claims))
             report.add(
                 "PL602", "error", "<pool>",
                 f"one pooled allocation is claimed by multiple steps "
-                f"({claims}); a later step would clobber an earlier "
-                "step's live staging data",
+                f"({names}) and not every claim is scratch; a later step "
+                "would clobber an earlier step's live data",
                 owners=sorted(str(owner) for owner in step_owners),
             )
+    # Arena views live in the same step run — one step at one batch size —
+    # must be pairwise disjoint.
+    groups: Dict[Tuple[Optional[int], Optional[int]], list] = {}
+    for buf in ir.buffers:
+        if buf.scratch:
+            groups.setdefault((buf.owner, buf.rows), []).append(buf)
+    for (owner, rows), views in groups.items():
+        views = sorted(views, key=lambda v: v.lo)
+        for prev, cur in zip(views, views[1:]):
+            if cur.lo < prev.hi:
+                report.add(
+                    "PL602", "error", f"step{owner}",
+                    f"scratch views {prev.tag!r} and {cur.tag!r} overlap in the "
+                    f"arena (bytes [{cur.lo}, {min(prev.hi, cur.hi)})) within "
+                    f"one run at {rows} rows",
+                    tags=[prev.tag, cur.tag], rows=rows,
+                )
 
 
 def _rule_pl603(report: CheckReport, ir: "PlanIR") -> None:
-    """Layout chain, counts-window chain, and workspace-dtype honesty."""
-    layout = "batch"
+    """Layout, counts-window and join contracts along the value slots, and
+    workspace-dtype honesty."""
+    # Per slot: (layout, counts top or None, counts gain, partial sum?).
+    float_batch = ("batch", None, None, False)
+    slots: Dict[int, Tuple[str, Optional[int], Optional[float], bool]] = {0: float_batch}
     for step in ir.steps:
+        layout, top, gain, partial = slots.get(step.inputs[0], float_batch)
         if step.layouts_in is not None and layout not in step.layouts_in:
             report.add(
                 "PL603", "error", _where(step),
@@ -191,18 +232,12 @@ def _rule_pl603(report: CheckReport, ir: "PlanIR") -> None:
                 hint="the compiler must insert a layout-restore step",
                 got=layout, accepts=list(step.layouts_in),
             )
-        if step.layout_out is not None:
-            layout = step.layout_out
-    if layout not in _TERMINAL_LAYOUTS:
-        report.add(
-            "PL603", "error", "<plan>",
-            f"plan ends in internal layout {layout!r}; callers are promised "
-            f"one of {list(_TERMINAL_LAYOUTS)}",
-            final_layout=layout,
-        )
-
-    top: Optional[int] = None
-    for step in ir.steps:
+        if partial:
+            report.add(
+                "PL603", "error", _where(step),
+                "step reads an un-floored affine partial sum as its main "
+                "input; only a projection join may consume one",
+            )
         if step.consumes_top is not None and top != step.consumes_top:
             report.add(
                 "PL603", "error", _where(step),
@@ -211,8 +246,21 @@ def _rule_pl603(report: CheckReport, ir: "PlanIR") -> None:
                 f"{'float values' if top is None else f'top={top}'}",
                 expected=step.consumes_top, got=top,
             )
+        if step.join is not None:
+            _check_join(report, step, step.join,
+                        slots.get(step.inputs[-1], float_batch))
         if not step.rep_passthrough:
-            top = step.produces_top
+            top, gain, partial = step.produces_top, step.produces_gain, step.partial
+        slots[step.output] = (step.layout_out or layout, top, gain, partial)
+    layout, top, _, _ = slots.get(ir.steps[-1].output, float_batch) if ir.steps \
+        else float_batch
+    if layout not in _TERMINAL_LAYOUTS:
+        report.add(
+            "PL603", "error", "<plan>",
+            f"plan ends in internal layout {layout!r}; callers are promised "
+            f"one of {list(_TERMINAL_LAYOUTS)}",
+            final_layout=layout,
+        )
     if top is not None:
         report.add(
             "PL603", "error", "<plan>",
@@ -235,6 +283,39 @@ def _rule_pl603(report: CheckReport, ir: "PlanIR") -> None:
                 "replay disagree",
                 tag=buf.tag, declared=declared, actual=buf.dtype,
             )
+
+
+def _check_join(report: CheckReport, step: "StepIR", join: "JoinIR",
+                skip: tuple) -> None:
+    """The shortcut input of a join agrees with the join's contract."""
+    layout, top, gain, partial = skip
+    if len(step.inputs) != 2:
+        report.add("PL603", "error", _where(step),
+                   f"join step reads {len(step.inputs)} value slot(s), not 2")
+    if layout not in join.layouts:
+        report.add(
+            "PL603", "error", _where(step),
+            f"join expects its shortcut in layouts {list(join.layouts)} but "
+            f"receives {layout!r}",
+            got=layout, accepts=list(join.layouts),
+        )
+    if top != join.top or partial != (join.kind == "projection"):
+        got = "float values" if top is None else f"top={top}"
+        report.add(
+            "PL603", "error", _where(step),
+            f"{join.kind} join expects its shortcut as "
+            f"{'float values' if join.top is None else f'top={join.top}'}"
+            f"{' (affine partial)' if join.kind == 'projection' else ''} but "
+            f"receives {got}{' (affine partial)' if partial else ''}",
+            expected=join.top, got=top,
+        )
+    elif join.gain is not None and gain != join.gain:
+        report.add(
+            "PL603", "error", _where(step),
+            f"{join.kind} join adds a shortcut counted at gain {gain!r} to "
+            f"outputs counted at gain {join.gain!r}; the sum is not in one unit",
+            expected=join.gain, got=gain,
+        )
 
 
 def _rule_pl604(report: CheckReport, ir: "PlanIR") -> None:
@@ -300,6 +381,14 @@ def _rule_pl605(report: CheckReport, ir: "PlanIR") -> None:
                 f"pooled buffer carries undeclared workspace tag "
                 f"{buf.tag or 'base'!r} ({buf.shape}, {buf.dtype}); the step "
                 f"declares only {sorted(repr(t or 'base') for t in step.workspaces)}",
+                tag=buf.tag, dtype=buf.dtype,
+            )
+        elif buf.scratch and buf.tag not in step.scratch:
+            report.add(
+                "PL605", "error", _where(step),
+                f"arena view {buf.tag or 'base'!r} ({buf.shape}, {buf.dtype}) "
+                "is not a declared scratch tag; the step's data would be "
+                "overwritten by the next step's scratch",
                 tag=buf.tag, dtype=buf.dtype,
             )
 

@@ -420,16 +420,29 @@ def _render_check_reports(reports: list, args: argparse.Namespace) -> tuple:
     return output, (1 if failed else 0)
 
 
+def _fallback_reason(engine) -> str:
+    """Why an engine serves from the graph: precheck rule ids or the
+    compile error."""
+    report = engine.check_report
+    if report is not None and report.has_errors:
+        rules = sorted({diag.rule for diag in report.errors})
+        return f"precheck {', '.join(rules)} ({len(report.errors)} error(s))"
+    return engine.plan_error or "unknown"
+
+
 def _check_plans(args: argparse.Namespace) -> tuple:
     """``repro check --plans``: statically verify compiled execution plans.
 
-    Deploys each model at each bit width, traces a plan under every
+    Deploys each model at each bit width, compiles a plan under every
     integer-path variant (fused int, shift, legacy kernels), and runs the
-    PL6xx plan verifier on the compiled IR.  The engine's own post-trace
+    PL6xx plan verifier on the compiled IR.  The engine's own post-compile
     gate is disabled here so findings surface in the report (and the exit
-    code) instead of being silently swallowed by graph fallback.  Models
-    the tracer cannot linearize (residual topologies) get an empty OK
-    report noting the fallback — the graph executor needs no plan proof.
+    code) instead of being silently swallowed by graph fallback.  Every
+    model must compile in the ``int`` variant: a graph fallback there is a
+    PL600 error naming the reason.  ``shift`` and ``legacy`` fallbacks
+    (ResNet's off-grid pow2 scales, the legacy kernels' missing residual
+    join) get an empty OK report whose note names the reason — the graph
+    executor needs no plan proof.
     """
     import numpy as np
 
@@ -464,12 +477,23 @@ def _check_plans(args: argparse.Namespace) -> tuple:
                     deployed, EngineConfig(plan_check=False, **overrides)
                 )
                 engine.run(sample)
-                if engine.plan is None:
-                    reports.append(CheckReport(
-                        f"{target}: no traceable plan (graph fallback)"))
-                else:
+                if engine.plan is not None:
                     reports.append(check_plan(engine.plan, config=config,
                                               target=target))
+                    continue
+                reason = _fallback_reason(engine)
+                if variant != "int":
+                    reports.append(CheckReport(
+                        f"{target}: graph fallback ({reason})"))
+                    continue
+                report = CheckReport(target)
+                report.add(
+                    "PL600", "error", "<plan>",
+                    f"the int variant does not compile ({reason}); the engine "
+                    "would serve every request from the graph executor",
+                    reason=reason,
+                )
+                reports.append(report.suppressed(config.suppress))
     return _render_check_reports(reports, args)
 
 

@@ -287,8 +287,23 @@ def avg_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> 
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:
-    """Average over the full spatial extent, returning ``(batch, channels)``."""
-    return x.mean(axis=(2, 3))
+    """Average over the full spatial extent, returning ``(batch, channels)``.
+
+    Reduces a C-contiguous ``(B, C, H·W)`` copy in the ``sum · (1/count)``
+    form of :meth:`Tensor.mean`, so the result does not depend on the
+    input's memory layout (numpy sums a strided array in memory order,
+    which rounds differently).
+    """
+    batch, channels, height, width = x.shape
+    scale = 1.0 / (height * width)
+    flat = np.ascontiguousarray(x.data).reshape(batch, channels, height * width)
+    out_data = flat.sum(axis=2) * scale
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(np.broadcast_to((grad * scale)[:, :, None, None], x.shape))
+
+    return Tensor._make(out_data, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ replays the flat plan with zero autograd overhead.  Three guarantees:
   and weight snapshots against the live module (remediation reprogramming,
   re-quantization, or module surgery all mutate them) and re-traces
   automatically when anything changed.
-- **graceful degradation** — anything the tracer cannot linearize
-  (residual topologies, training-mode layers) falls back to the graph
-  executor; the engine never refuses to serve.
+- **graceful degradation** — anything the compiler cannot lower (unknown
+  module classes, training-mode layers) falls back to the graph executor;
+  the engine never refuses to serve.
 
 Dtype policy: ``EngineConfig.dtype`` (float32 by default, for serving
 throughput) applies to pure-float plans; plans that activate the integer
@@ -61,7 +61,7 @@ class EngineConfig:
         float64 reproduces the graph executor bit for bit).
     int_path:
         ``"auto"`` (default) activates the integer fast path whenever the
-        traced chain carries clustered N-bit weights and M-bit signal
+        network carries clustered N-bit weights and M-bit signal
         quantizers; ``"off"`` forces all-float plans; ``"shift"`` is the
         multiplier-less ``engine_shift`` variant — before tracing, the
         module's per-layer scales are snapped to the power-of-two grid
@@ -240,6 +240,7 @@ class InferenceEngine:
         self._graph_only = False
         self.check_report = None  # repro.check.CheckReport after first trace
         self.plan_report = None   # plan-verifier CheckReport after each compile
+        self.plan_error: Optional[str] = None  # why the last compile failed
 
     def _count(self, name: str, amount: float = 1) -> None:
         self.stats.inc(name, amount)
@@ -316,7 +317,8 @@ class InferenceEngine:
                 return None
             try:
                 plan = compile_plan(self.module, sample, self.config)
-            except PlanError:
+            except PlanError as exc:
+                self.plan_error = str(exc)
                 self._count("trace_failures")
                 self._graph_only = True
                 return None
@@ -339,7 +341,8 @@ class InferenceEngine:
 
         try:
             snap_scales_pow2(self.module)
-        except ValueError:
+        except ValueError as exc:
+            self.plan_error = str(exc)
             self._count("trace_failures")
             self._graph_only = True
             return False

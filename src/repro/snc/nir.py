@@ -16,6 +16,9 @@ backend can consume:
 - Models built from custom classes (LeNet, AlexNet, ResNet blocks) are
   *lowered* to the vocabulary on export — the importer never needs the
   original classes, which is what makes the format hardware-neutral.
+  The plan compiler (:func:`repro.runtime.plan.compile_plan`) lowers
+  through the same :data:`LOWERERS` registry, so export and compilation
+  share one lowering.
 
 Round-trip guarantee: ``import_nir(export_nir(m))`` rebuilds a module
 whose forward pass is the same op sequence over byte-identical float64
@@ -122,27 +125,29 @@ class NIRGraph:
 # Lowering: custom model classes → the structural vocabulary
 # ---------------------------------------------------------------------------
 
-#: class name → lowering function producing a vocabulary-only module that
-#: *shares* the original parameter tensors (no copies; export reads data).
-LOWERERS: Dict[str, Callable[[Module], Module]] = {}
+#: class name → lowering function ``fn(module, lower)`` producing a
+#: vocabulary-only module that *shares* the original parameter tensors (no
+#: copies; export reads data).  ``lower`` lowers a child with the caller's
+#: settings — call it instead of :func:`lower_module` on children.
+LOWERERS: Dict[str, Callable[[Module, Callable[[Module], Module]], Module]] = {}
 
 
 def register_lowerer(class_name: str) -> Callable:
-    """Decorator: register a lowering for a custom module class."""
-    def decorate(fn: Callable[[Module], Module]) -> Callable[[Module], Module]:
+    """Decorator: register a lowering ``fn(module, lower)`` for a custom class."""
+    def decorate(fn: Callable) -> Callable:
         LOWERERS[class_name] = fn
         return fn
     return decorate
 
 
-def _chain(module: Module) -> Sequential:
+def _chain(module: Module, lower: Callable[[Module], Module]) -> Sequential:
     """Lower a declaration-order linear-chain model to a ``Sequential``.
 
     Valid only for classes whose ``forward`` applies the registered
     children in declaration order (LeNet, AlexNetCifar are written that
     way on purpose).
     """
-    return Sequential(*[lower_module(child) for child in module._modules.values()])
+    return Sequential(*[lower(child) for child in module._modules.values()])
 
 
 LOWERERS["LeNet"] = _chain
@@ -150,25 +155,23 @@ LOWERERS["AlexNetCifar"] = _chain
 
 
 @register_lowerer("BasicBlock")
-def _lower_basic_block(block: Module) -> Module:
+def _lower_basic_block(block: Module, lower: Callable[[Module], Module]) -> Module:
     # forward: relu2(bn2(conv2(relu1(bn1(conv1 x)))) + shortcut(x))
     body = Sequential(
-        lower_module(block.conv1), lower_module(block.bn1),
-        lower_module(block.relu1), lower_module(block.conv2),
-        lower_module(block.bn2),
+        lower(block.conv1), lower(block.bn1), lower(block.relu1),
+        lower(block.conv2), lower(block.bn2),
     )
-    residual = Residual(body, lower_module(block.shortcut))
-    residual.activation = lower_module(block.relu2)
+    residual = Residual(body, lower(block.shortcut))
+    residual.activation = lower(block.relu2)
     return residual
 
 
 @register_lowerer("ResNetCifar")
-def _lower_resnet(model: Module) -> Module:
+def _lower_resnet(model: Module, lower: Callable[[Module], Module]) -> Module:
     return Sequential(
-        lower_module(model.stem), lower_module(model.stem_bn),
-        lower_module(model.stem_relu),
-        *[_lower_basic_block(b) for b in model.stages],
-        lower_module(model.pool), lower_module(model.fc),
+        lower(model.stem), lower(model.stem_bn), lower(model.stem_relu),
+        *[lower(b) for b in model.stages],
+        lower(model.pool), lower(model.fc),
     )
 
 
@@ -179,22 +182,33 @@ _VOCABULARY_CLASSES = (
 )
 
 
-def lower_module(module: Module) -> Module:
-    """Return a vocabulary-only equivalent of ``module`` (may be itself)."""
+def lower_module(module: Module, leaves: Tuple[type, ...] = ()) -> Module:
+    """Return a vocabulary-only equivalent of ``module`` (may be itself).
+
+    ``leaves`` names extra classes kept as they are, unlowered, wherever
+    they appear — the plan compiler (:func:`repro.runtime.plan.compile_plan`)
+    lowers through this same function and passes its atomic layers
+    (spiking crossbar layers included) so they stay leaves.
+    """
+    def lower(child: Module) -> Module:
+        return lower_module(child, leaves)
+
+    if leaves and isinstance(module, leaves):
+        return module
     if type(module).__name__ in LOWERERS and not isinstance(module, _VOCABULARY_CLASSES):
-        return LOWERERS[type(module).__name__](module)
+        return LOWERERS[type(module).__name__](module, lower)
     if isinstance(module, _PrependInput):
-        lowered = lower_module(module.network)
+        lowered = lower(module.network)
         return module if lowered is module.network \
             else _PrependInput(module.input_quantizer, lowered)
     if isinstance(module, Sequential):
-        lowered = [lower_module(child) for child in module.layers]
+        lowered = [lower(child) for child in module.layers]
         return module if all(a is b for a, b in zip(lowered, module.layers)) \
             else Sequential(*lowered)
     if isinstance(module, Residual):
-        body = lower_module(module.body)
-        shortcut = lower_module(module.shortcut)
-        activation = lower_module(module.activation)
+        body = lower(module.body)
+        shortcut = lower(module.shortcut)
+        activation = lower(module.activation)
         if body is module.body and shortcut is module.shortcut \
                 and activation is module.activation:
             return module
@@ -202,7 +216,7 @@ def lower_module(module: Module) -> Module:
         rebuilt.activation = activation
         return rebuilt
     if isinstance(module, QuantizedActivation):
-        inner = lower_module(module.inner)
+        inner = lower(module.inner)
         return module if inner is module.inner else QuantizedActivation(
             inner, module.bits, gain=module.gain, enabled=module.enabled
         )

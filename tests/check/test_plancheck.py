@@ -11,9 +11,12 @@ import pytest
 
 from repro.check import CheckReport, PlanCheckConfig, accumulator_bound, check_plan
 from repro.core.deployment import DeploymentConfig, deploy_model
+from repro.datasets.cifar_like import generate_cifar_like
 from repro.datasets.mnist_like import generate_mnist_like
 from repro.models import LeNet
+from repro.models.resnet import ResNetCifar
 from repro.runtime.engine import EngineConfig, InferenceEngine
+from repro.runtime.plan import CountsRep
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -36,10 +39,37 @@ def deployed_lenet(images):
     return deployed
 
 
+@pytest.fixture(scope="module")
+def resnet_case():
+    rgb = generate_cifar_like(16, seed=0).images
+    model = ResNetCifar(width_multiplier=0.125, blocks_per_stage=(2, 1, 1, 1),
+                        rng=np.random.default_rng(0))
+    model.eval()
+    deployed, _ = deploy_model(
+        model,
+        DeploymentConfig(signal_bits=4, weight_bits=4, input_bits=8,
+                         signal_gain="auto"),
+        rgb,
+    )
+    return deployed, rgb
+
+
+def _join_steps(plan, kind):
+    return [step for step in plan.steps if getattr(step, "join", None) == kind]
+
+
+def _producer(plan, step):
+    """The step that last wrote the join's shortcut slot before it."""
+    return [s for s in plan.steps[: step.index] if s.output == step.inputs[1]][-1]
+
+
 def _traced_engine(deployed, images, **overrides):
     """An engine with a freshly traced plan (plan gate off: tests seed
     defects into the plan afterwards and run the verifier directly)."""
     engine = InferenceEngine(deployed, EngineConfig(plan_check=False, **overrides))
+    # The first run outgrows the trace-sized scratch arena and regrows it
+    # at its end; the second replays from the arena, as serving does.
+    engine.run(images[:8])
     engine.run(images[:8])
     assert engine.plan is not None
     return engine
@@ -88,13 +118,12 @@ class TestSeededDefects:
 
     def test_aliasing_copy_program_fires_pl602(self, deployed_lenet, images):
         engine = _traced_engine(deployed_lenet, images)
-        step = next(s for s in _int_conv_steps(engine.plan)
-                    if getattr(s, "_program", None) is not None)
-        sbuf, cols, tcols, blocks = step._program
-        s0, s1, cbuf, bview, pairs = blocks[0]
+        step = next(s for s in _int_conv_steps(engine.plan) if s._programs)
+        rows, (sbuf, cols, tcols, blocks) = next(iter(step._programs.items()))
+        s0, s1, cbuf, pairs = blocks[0]
         dst, _src = pairs[0]
-        corrupt = [(s0, s1, cbuf, bview, [(dst, dst)])] + list(blocks[1:])
-        step._program = (sbuf, cols, tcols, corrupt)
+        corrupt = [(s0, s1, cbuf, [(dst, dst)])] + list(blocks[1:])
+        step._programs[rows] = (sbuf, cols, tcols, corrupt)
         report = check_plan(engine.plan)
         assert report.by_rule("PL602"), report.summary()
 
@@ -104,11 +133,43 @@ class TestSeededDefects:
         convs = _int_conv_steps(plan)
         assert len(convs) >= 2
         donor, thief = convs[0], convs[1]
-        buf = next(b for (key, shape, dtype, b) in plan.pool.entries()
+        buf = next(b for (key, shape, dtype, b, *_) in plan.pool.records()
                    if key == (donor.index, "src"))
         plan.pool._buffers[((thief.index, "src"), buf.shape, buf.dtype)] = buf
         report = check_plan(plan)
         assert report.by_rule("PL602"), report.summary()
+
+    def test_output_aliasing_arena_fires_pl602(self, deployed_lenet, images):
+        engine = _traced_engine(deployed_lenet, images)
+        plan = engine.plan
+        step = _int_conv_steps(plan)[0]
+        pool = plan.pool
+        full_key = next(k for k in pool._buffers if k[0] == (step.index, "out"))
+        _, shape, dtype = full_key
+        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        # The step's output, moved onto the scratch arena: the next step's
+        # scratch would overwrite it before its consumer reads it.
+        pool._buffers[full_key] = pool.arena[:nbytes].view(dtype).reshape(shape)
+        report = check_plan(plan)
+        assert report.by_rule("PL602"), report.summary()
+        assert any("scratch arena" in d.message for d in report.by_rule("PL602"))
+
+    def test_clean_plan_shares_the_arena_across_steps(self, deployed_lenet, images):
+        engine = _traced_engine(deployed_lenet, images)
+        ir = engine.plan.summarize()
+        owners = {buf.owner for buf in ir.buffers if buf.base == ir.arena}
+        assert len(owners) > 1
+        assert all(buf.scratch for buf in ir.buffers if buf.base == ir.arena)
+        assert check_plan(engine.plan).ok
+
+    def test_undeclared_scratch_view_fires_pl605(self, deployed_lenet, images):
+        engine = _traced_engine(deployed_lenet, images)
+        step = _int_conv_steps(engine.plan)[0]
+        # "src" stays a declared workspace but is no longer declared dead
+        # once the step returns, so its arena view is an unclaimed share.
+        step.scratch = step.scratch - {"src"}
+        report = check_plan(engine.plan)
+        assert report.by_rule("PL605"), report.summary()
 
     def test_dtype_lie_fires_pl603(self, deployed_lenet, images):
         engine = _traced_engine(deployed_lenet, images)
@@ -143,6 +204,43 @@ class TestSeededDefects:
         )
         report = check_plan(plan)
         assert report.by_rule("PL605"), report.summary()
+
+
+class TestResidualPlans:
+    def test_traced_resnet_plan_verifies(self, resnet_case):
+        engine = _traced_engine(*resnet_case)
+        assert _join_steps(engine.plan, "identity")
+        assert _join_steps(engine.plan, "projection")
+        report = check_plan(engine.plan)
+        assert report.ok and len(report) == 0, report.summary()
+
+    def test_join_layout_mismatch_fires_pl603(self, resnet_case):
+        engine = _traced_engine(*resnet_case)
+        step = _join_steps(engine.plan, "identity")[-1]
+        step.skip_layout = "cmajor"  # claims a channel-major shortcut
+        report = check_plan(engine.plan)
+        assert any("layouts" in d.message for d in report.by_rule("PL603")), \
+            report.summary()
+
+    def test_join_counts_window_mismatch_fires_pl603(self, resnet_case):
+        engine = _traced_engine(*resnet_case)
+        step = _join_steps(engine.plan, "projection")[0]
+        producer = _producer(engine.plan, step)
+        gain = producer.partial.gain
+        producer.partial = CountsRep(gain, 0.0, 7, "act")  # a 3-bit window
+        report = check_plan(engine.plan)
+        assert any("projection join" in d.message for d in report.by_rule("PL603")), \
+            report.summary()
+
+    def test_join_gain_mismatch_fires_pl603(self, resnet_case):
+        engine = _traced_engine(*resnet_case)
+        step = _join_steps(engine.plan, "identity")[-1]
+        producer = _producer(engine.plan, step)
+        rep = producer.counts_rep
+        producer.counts_rep = CountsRep(2.0 * rep.gain, 0.0, rep.top, "act")
+        report = check_plan(engine.plan)
+        assert any("gain" in d.message for d in report.by_rule("PL603")), \
+            report.summary()
 
 
 class TestAccumulatorBoundSoundness:

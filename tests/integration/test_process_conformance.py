@@ -14,8 +14,8 @@ The reference is a *direct* in-process engine replay built from an
 identical clone with identical config.  The shift variant snaps its
 weight grids at trace time; snapping is deterministic, so two engines
 snapped from clones of the same deployment must still agree bit-for-bit
-— full ``np.array_equal``, no argmax weakening needed.  Models the plan
-compiler cannot lower (residual topology) degrade to the graph executor
+— full ``np.array_equal``, no argmax weakening needed.  Cells the plan
+compiler cannot serve (``GRAPH_CELLS``) degrade to the graph executor
 inside the worker and must *still* match exactly.
 
 Every case also proves the transport drains clean: no shared-memory
@@ -50,9 +50,11 @@ VARIANTS = {
     "legacy": dict(int_path="auto", int_kernels="legacy"),
 }
 
-#: Models the plan compiler cannot lower: the worker's engine serves from
-#: the graph executor, which must still be bit-exact.
-GRAPH_ONLY_MODELS = {"resnet"}
+#: (model, variant) cells whose engines serve from the graph executor,
+#: which must still be bit-exact: ResNet's pow2 snap leaves requantize
+#: scales off the grid (shift), and the legacy kernels have no residual
+#: join.
+GRAPH_CELLS = {("resnet", "shift"), ("resnet", "legacy")}
 
 
 @pytest.fixture(scope="module", params=available_models())
@@ -91,9 +93,10 @@ def test_process_server_matches_direct_engine(deployment, variant, observed):
     reference_engine = make_inference_engine(
         copy.deepcopy(deployed), **overrides)
     reference = reference_engine.run(images)
-    expected_backend = "graph" if name in GRAPH_ONLY_MODELS else variant
-    if variant == "legacy" and name not in GRAPH_ONLY_MODELS:
-        expected_backend = "int"  # legacy selects kernels, not the backend
+    # legacy selects kernels, not the backend
+    expected_backend = "int" if variant == "legacy" else variant
+    if (name, variant) in GRAPH_CELLS:
+        expected_backend = "graph"
     assert reference_engine.active_backend == expected_backend
 
     baseline = set(active_segment_names())

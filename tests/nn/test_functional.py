@@ -217,6 +217,9 @@ class TestPooling:
         out = F.global_avg_pool2d(Tensor(x))
         np.testing.assert_allclose(out.data, x.mean(axis=(2, 3)))
 
+    def test_global_avg_pool_gradient(self, rng):
+        check_gradients(F.global_avg_pool2d, [rng.normal(size=(2, 3, 4, 4))])
+
 
 class TestBatchNorm:
     def _setup(self, rng, shape=(8, 3, 4, 4)):

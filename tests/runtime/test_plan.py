@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from repro.core.deployment import DeploymentConfig, deploy_model
+from repro.core.modules import InputQuantizer, QuantizedActivation
+from repro.datasets.cifar_like import generate_cifar_like
 from repro.datasets.mnist_like import generate_mnist_like
 from repro.models import LeNet
 from repro.models.resnet import ResNetCifar
+from repro.nn import functional as F
 from repro.nn import modules as nn
 from repro.nn.tensor import Tensor, no_grad
 from repro.runtime.engine import EngineConfig
 from repro.runtime.plan import (
     BufferPool,
+    GlobalAvgPoolStep,
     PlanError,
+    _walk,
     compile_plan,
-    trace_chain,
 )
 
 
@@ -40,28 +44,155 @@ def graph_logits(module, batch):
         return module(Tensor(batch)).data
 
 
-class TestTraceChain:
-    def test_orders_atomic_modules(self, deployed_lenet, images):
-        chain, out = trace_chain(deployed_lenet, images[:2])
-        names = [type(m).__name__ for m in chain]
+@pytest.fixture(scope="module")
+def rgb():
+    return generate_cifar_like(24, seed=0).images
+
+
+def _small_resnet(seed=0):
+    """ResNet-CIFAR at width 0.125, one block per stage: identity joins
+    in the first stage, projection joins after every stride-2 stage."""
+    model = ResNetCifar(width_multiplier=0.125, blocks_per_stage=(2, 1, 1, 1),
+                        rng=np.random.default_rng(seed))
+    model.eval()
+    return model
+
+
+@pytest.fixture(scope="module")
+def deployed_resnet(rgb):
+    deployed, _ = deploy_model(
+        _small_resnet(),
+        DeploymentConfig(signal_bits=4, weight_bits=4, input_bits=8,
+                         signal_gain="auto"),
+        rgb[:16],
+    )
+    return deployed
+
+
+class TestWalk:
+    def test_walks_leaves_in_dataflow_order(self, deployed_lenet):
+        items, leaves = _walk(deployed_lenet)
+        names = [type(m).__name__ for m in items]
         assert names[0] == "InputQuantizer"
         assert "Conv2d" in names and "Linear" in names
-        np.testing.assert_array_equal(out, graph_logits(deployed_lenet, images[:2]))
+        assert not any(isinstance(m, (nn.Identity, nn.Dropout)) for m in items)
+        assert all(m in leaves for m in items)
 
-    def test_rejects_residual_topology(self, images):
-        model = ResNetCifar(rng=np.random.default_rng(0))
-        model.eval()
-        rgb = np.random.default_rng(0).normal(size=(2, 3, 32, 32))
-        with pytest.raises(PlanError):
-            trace_chain(model, rgb)
+    def test_residual_topology_compiles(self, deployed_resnet, rgb):
+        plan = compile_plan(deployed_resnet, rgb[:2], EngineConfig())
+        joins = [getattr(step, "join", None) for step in plan.steps]
+        assert "identity" in joins and "projection" in joins
+        np.testing.assert_array_equal(
+            plan.run(np.asarray(rgb[:8], dtype=np.float64)),
+            graph_logits(deployed_resnet, rgb[:8]))
 
-    def test_rejects_module_without_traceable_leaves(self):
+    def test_rejects_opaque_module(self):
         class Opaque(nn.Module):
             def forward(self, x):
                 return x
 
         with pytest.raises(PlanError):
-            trace_chain(Opaque(), np.zeros((1, 4)))
+            compile_plan(Opaque(), np.zeros((1, 4)), EngineConfig())
+
+
+class TestResidualJoins:
+    def test_identity_join_adds_block_input_counts(self, deployed_resnet, rgb):
+        plan = compile_plan(deployed_resnet, rgb[:2], EngineConfig())
+        step = next(s for s in plan.steps if getattr(s, "join", None) == "identity")
+        # The join step reads the block input — a value held across the
+        # body — as its second slot.
+        assert len(step.inputs) == 2 and step.inputs[0] != step.inputs[1]
+        got = plan.run(np.asarray(rgb[:12], dtype=np.float64))
+        np.testing.assert_array_equal(got, graph_logits(deployed_resnet, rgb[:12]))
+
+    def test_projection_join_consumes_unfloored_affine_sum(self, deployed_resnet, rgb):
+        plan = compile_plan(deployed_resnet, rgb[:2], EngineConfig())
+        joins = [s for s in plan.steps if getattr(s, "join", None) == "projection"]
+        assert len(joins) == 3
+        for step in joins:
+            producer = next(s for s in plan.steps if s.output == step.inputs[1]
+                            and s.index < step.index and getattr(s, "partial", None))
+            assert producer.partial.gain == step.counts_rep.gain
+            assert producer.out_dtype == np.float64
+        assert plan.int_steps == sum(isinstance(m, nn.Conv2d) for m in
+                                     _walk(deployed_resnet)[1]) - 1  # stem runs float
+        got = plan.run(np.asarray(rgb[:16], dtype=np.float64))
+        np.testing.assert_array_equal(got, graph_logits(deployed_resnet, rgb[:16]))
+
+    def test_float_join_without_int_path(self, deployed_resnet, rgb):
+        config = EngineConfig(dtype=np.float64, int_path="off")
+        plan = compile_plan(deployed_resnet, rgb[:2], config)
+        assert not plan.uses_int_path
+        assert [s.kind for s in plan.steps].count("join") == 5
+        got = plan.run(np.asarray(rgb[:8], dtype=np.float64))
+        np.testing.assert_array_equal(got, graph_logits(deployed_resnet, rgb[:8]))
+
+    def test_float_join_on_mismatched_gains(self, rgb):
+        deployed, _ = deploy_model(
+            _small_resnet(),
+            DeploymentConfig(signal_bits=4, weight_bits=4, input_bits=8),
+            rgb[:16],
+        )
+        # The first block's input is counted at the stem's gain; give the
+        # block's output quantizer another gain, so its input counts are
+        # no longer output counts and the join must run in float64 — as
+        # must the second block's, whose input is now counted at that gain.
+        block = deployed.network.stages[0]
+        assert isinstance(block.relu2, QuantizedActivation)
+        block.relu2.gain = 2.0 * float(block.relu2.gain)
+        plan = compile_plan(deployed, rgb[:2], EngineConfig())
+        assert [s.kind for s in plan.steps].count("join") == 2
+        joins = [getattr(s, "join", None) for s in plan.steps]
+        assert joins.count("identity") == 0 and joins.count("projection") == 3
+        got = plan.run(np.asarray(rgb[:8], dtype=np.float64))
+        np.testing.assert_array_equal(got, graph_logits(deployed, rgb[:8]))
+
+    def test_legacy_kernels_refuse_joins(self, deployed_resnet, rgb):
+        with pytest.raises(PlanError, match="residual"):
+            compile_plan(deployed_resnet, rgb[:2], EngineConfig(int_kernels="legacy"))
+
+
+class TestArena:
+    def test_pool_holds_one_step_of_scratch_plus_outputs(self, deployed_resnet, rgb):
+        plan = compile_plan(deployed_resnet, rgb[:2], EngineConfig())
+        batch = np.asarray(np.concatenate([rgb] * 6), dtype=np.float64)
+        # A run that outgrows the arena serves its scratch from temporaries
+        # and regrows at its end; the second pass lays every view out.
+        for _ in range(2):
+            for rows in (8, 16, 32, 64, 128):
+                plan.run(batch[:rows])
+        records = plan.pool.records()
+        groups: dict = {}
+        for key, _, _, buf, scratch, rows in records:
+            if scratch:
+                group = (key[0] if isinstance(key, tuple) else key, rows)
+                groups[group] = groups.get(group, 0) + buf.nbytes
+        largest = max(groups.values())
+        outputs = sum(buf.nbytes for *_, buf, scratch, _ in records if not scratch)
+        slack = BufferPool.ALIGN * len(records)
+        assert plan.pool.nbytes <= largest + outputs + slack
+        # Without sharing, every step's scratch would be resident at once.
+        assert sum(groups.values()) > 4 * plan.pool.arena.nbytes
+
+    def test_arena_views_keep_identity_across_runs(self, deployed_resnet, rgb):
+        plan = compile_plan(deployed_resnet, rgb[:2], EngineConfig())
+        batch = np.asarray(rgb[:8], dtype=np.float64)
+        plan.run(batch)  # outgrows the trace-sized arena: regrows at its end
+        plan.run(batch)
+        arena = plan.pool.arena
+        before = {id(buf) for *_, buf, _, _ in plan.pool.records()}
+        plan.run(batch)
+        assert plan.pool.arena is arena
+        assert {id(buf) for *_, buf, _, _ in plan.pool.records()} == before
+
+    def test_growth_rebuilds_views_without_changing_results(self, deployed_resnet, rgb):
+        plan = compile_plan(deployed_resnet, rgb[:2], EngineConfig())
+        small = np.asarray(rgb[:4], dtype=np.float64)
+        first = plan.run(small).copy()
+        size = plan.pool.arena.nbytes
+        plan.run(np.asarray(rgb, dtype=np.float64))
+        assert plan.pool.arena.nbytes > size
+        np.testing.assert_array_equal(plan.run(small), first)
 
 
 class TestCompile:
@@ -164,3 +295,26 @@ def test_buffer_pool_reuses_by_key_shape_dtype():
     assert pool.get("k", (4, 4), np.float32) is not a
     assert pool.get("k", (4, 5), np.float64) is not a
     assert pool.nbytes > 0
+
+
+def test_global_avg_pool_step_is_layout_independent():
+    rng = np.random.default_rng(0)
+    # Channel-last strides, as a batch-last activation restored to NCHW.
+    strided = rng.normal(size=(3, 4, 4, 16)).transpose(0, 3, 1, 2)
+    contiguous = np.ascontiguousarray(strided)
+    step = GlobalAvgPoolStep(0, np.float64)
+    for x in (contiguous, strided):
+        with no_grad():
+            reference = F.global_avg_pool2d(Tensor(x)).data
+        got = step.run(x, BufferPool()).copy()
+        assert got.tobytes() == reference.tobytes()
+    with no_grad():
+        a = F.global_avg_pool2d(Tensor(strided)).data
+        b = F.global_avg_pool2d(Tensor(contiguous)).data
+    assert a.tobytes() == b.tobytes()
+
+
+def test_input_quantizer_alone_compiles():
+    plan = compile_plan(InputQuantizer(8, offset=0.0, gain=255.0),
+                        np.zeros((1, 4)), EngineConfig(dtype=np.float64))
+    assert [s.kind for s in plan.steps] == ["input-quant"]

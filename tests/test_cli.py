@@ -75,11 +75,12 @@ class TestTrainingFreeCommands:
         assert "int-gemm" in out
         assert "backend=int" in out
 
-    def test_plan_resnet_falls_back_to_graph(self):
+    def test_plan_resnet_compiles_residual_joins(self):
         out = run_command(
             build_parser().parse_args(["plan", "--models", "resnet", "--bits", "4"])
         )
-        assert "backend=graph" in out
+        assert "backend=int" in out
+        assert "join[identity]" in out and "join[projection]" in out
 
     def test_stream_bench_quick(self):
         out = run_command(
