@@ -20,12 +20,14 @@ PL601
     accumulator dtype.
 PL602
     Aliasing safety.  No cached copy-program ``(dst, src)`` pair may
-    overlap byte ranges of the same base allocation.  Steps share one
+    overlap byte ranges of the same base allocation.  Workspaces share one
     allocation only through the plan's scratch arena: a base claimed by
-    several steps is allowed only when every claim is an arena view of a
-    scratch tag, any step output or value held for a join that overlaps
-    the arena is flagged, and the scratch views of one step at one batch
-    size must be pairwise disjoint.
+    several workspaces (``(step, tag)`` pairs) is allowed only when every
+    claim is an arena view of a scratch tag, any step output or value
+    held for a join that overlaps the arena is flagged, and the scratch
+    views of one step at one batch size must be pairwise disjoint.  The
+    prefix views one owned workspace hands out for different batch sizes
+    share its backing by design — one run claims only one of them.
 PL603
     Boundary contracts, tracked per value slot.  The declared layout
     chain must be consistent step-to-step (batch-last ``(C,H,W,B)``
@@ -186,16 +188,16 @@ def _rule_pl602(report: CheckReport, ir: "PlanIR") -> None:
     for buf in ir.buffers:
         claims_by_base.setdefault(buf.base, []).append(buf)
     for claims in claims_by_base.values():
-        step_owners = {buf.owner for buf in claims}
-        if len(step_owners) > 1 and not all(buf.scratch for buf in claims):
+        workspaces = {(buf.owner, buf.tag) for buf in claims}
+        if len(workspaces) > 1 and not all(buf.scratch for buf in claims):
             names = ", ".join(sorted(
-                f"step{buf.owner}[{buf.tag or 'base'}]" for buf in claims))
+                f"step{owner}[{tag or 'base'}]" for owner, tag in workspaces))
             report.add(
                 "PL602", "error", "<pool>",
-                f"one pooled allocation is claimed by multiple steps "
-                f"({names}) and not every claim is scratch; a later step "
-                "would clobber an earlier step's live data",
-                owners=sorted(str(owner) for owner in step_owners),
+                f"one pooled allocation is claimed by multiple workspaces "
+                f"({names}) and not every claim is scratch; one would "
+                "clobber the other's live data",
+                owners=sorted({str(owner) for owner, _ in workspaces}),
             )
     # Arena views live in the same step run — one step at one batch size —
     # must be pairwise disjoint.

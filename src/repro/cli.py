@@ -430,16 +430,22 @@ def _fallback_reason(engine) -> str:
     return engine.plan_error or "unknown"
 
 
+#: Row counts ``check --plans`` replays before verifying: odd and even, a
+#: growing and a shrinking step, so the pool holds views laid out for
+#: several batch sizes at once.
+PLAN_CHECK_ROWS = (1, 3, 2)
+
+
 def _check_plans(args: argparse.Namespace) -> tuple:
     """``repro check --plans``: statically verify compiled execution plans.
 
     Deploys each model at each bit width, compiles a plan under every
-    integer-path variant (fused int, shift, legacy kernels), and runs the
-    PL6xx plan verifier on the compiled IR.  The engine's own post-compile
-    gate is disabled here so findings surface in the report (and the exit
-    code) instead of being silently swallowed by graph fallback.  Every
-    model must compile in the ``int`` variant: a graph fallback there is a
-    PL600 error naming the reason.  ``shift`` and ``legacy`` fallbacks
+    integer-path variant (fused int, shift, legacy kernels), replays it at
+    1, 3 and 2 rows, and runs the PL6xx plan verifier on the compiled IR.
+    The engine's own post-compile gate is disabled here so findings
+    surface in the report (and the exit code) instead of being silently
+    swallowed by graph fallback.  Every model must compile in the ``int``
+    variant: a graph fallback there is a PL600 error naming the reason.  ``shift`` and ``legacy`` fallbacks
     (ResNet's off-grid pow2 scales, the legacy kernels' missing residual
     join) get an empty OK report whose note names the reason — the graph
     executor needs no plan proof.
@@ -462,7 +468,7 @@ def _check_plans(args: argparse.Namespace) -> tuple:
     for model_name in args.models:
         spec = get_spec(model_name)
         rng = np.random.default_rng(args.seed)
-        sample = rng.uniform(0.0, 1.0, size=(2, *spec.input_shape))
+        sample = rng.uniform(0.0, 1.0, size=(3, *spec.input_shape))
         for bits in args.bits:
             for variant, overrides in variants:
                 target = f"{model_name} plan (M=N={bits}, {variant})"
@@ -476,7 +482,10 @@ def _check_plans(args: argparse.Namespace) -> tuple:
                 engine = InferenceEngine(
                     deployed, EngineConfig(plan_check=False, **overrides)
                 )
-                engine.run(sample)
+                # Several row counts, so PL602/PL605 audit the arena views
+                # and owned prefix views laid out for each of them.
+                for rows in PLAN_CHECK_ROWS:
+                    engine.run(sample[:rows])
                 if engine.plan is not None:
                     reports.append(check_plan(engine.plan, config=config,
                                               target=target))

@@ -103,8 +103,25 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     ``x`` is ``(batch, in_features)``, ``weight`` is
     ``(out_features, in_features)`` — the Torch convention the paper's
     networks were written in.
+
+    Row-invariant: each row is its own ``(1, K) @ (K, N)`` product, so a
+    row's output does not depend on how many rows share the call (one
+    ``(B, K)`` GEMM lets BLAS pick a different kernel, and rounding, per
+    row count).  The compiled plan's float linear step computes the same
+    stacked product, keeping graph and plan bit-identical at every batch
+    size.
     """
-    out = x @ weight.T
+    w = weight.data
+    out_data = np.matmul(x.data[..., None, :], w.T)[..., 0, :]
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad @ w)
+        if weight.requires_grad:
+            rows = x.data.reshape(-1, w.shape[1])
+            weight._accumulate((rows.T @ grad.reshape(-1, w.shape[0])).T)
+
+    out = Tensor._make(out_data, (x, weight), backward)
     if bias is not None:
         out = out + bias
     return out

@@ -32,8 +32,10 @@ the lowered graph, and compiles it into a flat list of fused steps:
   ``(dst_view, src_view)`` copy programs feeding a tap-major workspace
   and one GEMM, and absorb a trailing max pool into the requantize
   epilogue (see :class:`IntConvStep`);
-- every step's scratch workspaces are views of one arena per plan (see
-  :class:`BufferPool`), while step outputs keep their own allocations;
+- every step's scratch workspaces are views of one arena per plan, and
+  every step output is a view of one backing per output key, both sized
+  for the largest batch seen (see :class:`BufferPool`), so any row count
+  replays without allocating;
 - with ``int_path="shift"`` (``engine_shift``) per-layer scales are snapped
   to the power-of-two grid beforehand (:func:`repro.core.pow2.
   snap_scales_pow2`) and requantization runs multiplier-free as
@@ -84,14 +86,20 @@ class PlanError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class BufferPool:
-    """A plan's working memory: owned arrays plus one shared scratch arena.
+    """A plan's working memory: one backing per owned key plus one shared
+    scratch arena, both sized once for the largest batch seen.
 
     Steps ask for workspaces by key — ``(step index, tag[, block])`` — so a
-    steady-state batch loop allocates nothing after the first batch of a
-    given size.  A tag the step declares *scratch* (dead once the step
-    returns, see :attr:`Step.scratch`) is served as a view of one arena
-    that every step shares; any other tag (step outputs, values held for a
-    residual join) keeps its own allocation per ``(key, shape, dtype)``.
+    steady-state batch loop allocates nothing once the largest batch has
+    run, whatever row counts follow.  A tag the step declares *scratch*
+    (dead once the step returns, see :attr:`Step.scratch`) is served as a
+    view of one arena that every step shares; any other tag (step outputs,
+    values held for a residual join) is *owned*: it gets one flat backing
+    allocation of its own, and every shape asked of it is a C-contiguous
+    prefix view ``backing[:nbytes].view(dtype).reshape(shape)``, cached per
+    ``(key, shape, dtype)``.  A key is claimed once per run, so the prefix
+    views of one key never live at the same time; a shape larger than the
+    backing regrows it and drops that key's cached views.
 
     Arena layout: the scratch of one step at one batch size (``rows``, set
     by :meth:`ExecutionPlan.run`) is laid out back to back from offset 0,
@@ -112,7 +120,8 @@ class BufferPool:
 
     def __init__(self, scratch: Optional[Dict[int, FrozenSet[str]]] = None,
                  on_move: Sequence = ()) -> None:
-        self._buffers: dict = {}
+        self._buffers: dict = {}    # (key, shape, dtype) -> owned view
+        self._backings: dict = {}   # owned key -> flat uint8 allocation
         self._scratch: Dict[int, FrozenSet[str]] = dict(scratch or {})
         self._on_move = list(on_move)
         self._views: dict = {}      # (rows, full key) -> arena view
@@ -140,9 +149,7 @@ class BufferPool:
         key, shape, dtype = full_key
         owner, tag = _pool_key_owner(key)
         if owner is None or tag not in self._scratch.get(owner, ()):
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[full_key] = buf
-            return buf
+            return self._own(full_key)
         vkey = (self.rows, full_key)
         start = self._offsets.get(vkey)
         if start is None:
@@ -152,7 +159,7 @@ class BufferPool:
             self._used[group] = end
             self._offsets[vkey] = start
         if not self.pending and start + _nbytes(shape, dtype) <= self.arena.nbytes:
-            view = self._views[vkey] = self._view(start, full_key)
+            view = self._views[vkey] = _carve(self.arena, start, shape, dtype)
             return view
         if not self.pending:
             # Retire the arena: views a step holds right now keep it alive
@@ -164,25 +171,31 @@ class BufferPool:
         self.pending = max(self._used.values())
         return np.empty(shape, dtype=dtype)
 
+    def _own(self, full_key) -> np.ndarray:
+        key, shape, dtype = full_key
+        nbytes = _nbytes(shape, dtype)
+        backing = self._backings.get(key)
+        if backing is None or backing.nbytes < nbytes:
+            backing = self._backings[key] = np.empty(nbytes, dtype=np.uint8)
+            self._buffers = {k: v for k, v in self._buffers.items() if k[0] != key}
+        buf = self._buffers[full_key] = _carve(backing, 0, shape, dtype)
+        return buf
+
     def settle(self) -> None:
         """Allocate the arena a retiring run asked for (see the class doc)."""
         if self.pending:
             self.arena = np.empty(self.pending, dtype=np.uint8)
             self.pending = 0
 
-    def _view(self, start: int, full_key) -> np.ndarray:
-        _, shape, dtype = full_key
-        raw = self.arena[start : start + _nbytes(shape, dtype)]
-        return raw.view(dtype).reshape(shape)
-
     @property
     def nbytes(self) -> int:
-        return self.arena.nbytes + sum(buf.nbytes for buf in self._buffers.values())
+        return self.arena.nbytes + sum(b.nbytes for b in self._backings.values())
 
     def records(self) -> List[tuple]:
         """Snapshot of ``(key, shape, dtype, array, scratch, rows)`` for
-        every pooled array: owned arrays (``scratch=False``), then the
-        current arena views with the batch size they were laid out for.
+        every pooled array: the cached views of owned backings
+        (``scratch=False``), then the current arena views with the batch
+        size they were laid out for.
 
         The declared-IR surface over the pool: :meth:`ExecutionPlan.
         summarize` turns these into :class:`BufferIR` records so the static
@@ -199,9 +212,9 @@ class BufferPool:
         return owned + views
 
     def __len__(self) -> int:
-        """Allocations held: the owned arrays plus the arena (views of the
-        arena are not allocations)."""
-        return len(self._buffers) + (1 if self.arena.nbytes else 0)
+        """Allocations held: the owned backings plus the arena (views are
+        not allocations)."""
+        return len(self._backings) + (1 if self.arena.nbytes else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +331,12 @@ class PlanIR:
 
 def _nbytes(shape: Tuple[int, ...], dtype) -> int:
     return int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+
+
+def _carve(raw: np.ndarray, start: int, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """A C-contiguous ``shape``/``dtype`` view of the bytes of ``raw`` (a
+    flat uint8 allocation) from offset ``start``."""
+    return raw[start : start + _nbytes(shape, dtype)].view(dtype).reshape(shape)
 
 
 def _base_array(arr: np.ndarray) -> np.ndarray:
@@ -799,7 +818,8 @@ class FloatLinearStep(Step):
             np.copyto(cast, x, casting="unsafe")
             xin = cast
         out = pool.get((self.index, "mat"), (x.shape[0], self.lin.out_features), self.dtype)
-        np.matmul(xin, self.w_mat.T, out=out)
+        # Row-invariant stacked (1, K) @ (K, N) products, as F.linear.
+        np.matmul(xin[:, None, :], self.w_mat.T, out=out[:, None, :])
         if self.bias is not None:
             out += self.bias
         if self.counts_rep is not None:

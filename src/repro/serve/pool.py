@@ -57,8 +57,6 @@ class Replica:
 
     #: consecutive engine failures before a replica condemns itself.
     MAX_CONSECUTIVE_FAILURES = 3
-    #: smallest padded run (tiny batches share one buffer-pool shape).
-    MIN_BUCKET = 8
 
     def __init__(
         self,
@@ -83,7 +81,6 @@ class Replica:
         self.stats = ReplicaStats()
         self._trace_lock = trace_lock or threading.Lock()
         self._consecutive_failures = 0
-        self._pad_buffers: dict = {}
         # Instruments resolved once; the replica label keeps per-worker
         # series while sums across replicas give the pool-wide view.
         if telemetry is not None:
@@ -157,27 +154,24 @@ class Replica:
             self._obs_degraded.set(1.0)
 
     def _engine_run(self, images: np.ndarray) -> np.ndarray:
-        """Run ``images`` through the engine in shape-stable chunks.
+        """Run ``images`` through the engine at their exact row count.
 
-        The plan's :class:`~repro.runtime.plan.BufferPool` keys its
-        workspaces by shape, so feeding it a different row count every
-        dispatch (coalesced batches naturally vary) would allocate a
-        fresh multi-megabyte buffer set per batch — a ~16x slowdown and
-        unbounded pool growth.  Chunking to ``batch_rows`` and padding
-        the tail up to a power-of-two bucket keeps the set of shapes the
-        engine ever sees small and fixed.  Padding rows are zeros and
-        are sliced off the output; on the integer fast path (and the
-        float64 path's row-independent GEMMs) the kept rows are
-        bit-identical to an unpadded run.
+        A batch is one engine call of exactly its rows; only a single
+        request larger than ``batch_rows`` is split into ``batch_rows``
+        chunks.  Nothing is padded: the plan's
+        :class:`~repro.runtime.plan.BufferPool` sizes every workspace once
+        for the largest batch and serves smaller row counts from views of
+        it, and a row's logits do not depend on how many rows share its
+        run (integer GEMMs plus the row-invariant float linear), so the
+        split never changes an answer.
         """
         rows = len(images)
-        if rows == self.batch_rows:
+        if rows <= self.batch_rows:
             return self._engine_call(images)
-        outputs = [
-            self._run_chunk(images[start : start + self.batch_rows])
+        return np.concatenate([
+            self._engine_call(images[start : start + self.batch_rows])
             for start in range(0, rows, self.batch_rows)
-        ]
-        return outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=0)
+        ], axis=0)
 
     def _engine_call(self, array: np.ndarray) -> np.ndarray:
         if self.engine.plan is None:
@@ -188,27 +182,6 @@ class Replica:
             with self._trace_lock:
                 return self.engine.run(array)
         return self.engine.run(array)
-
-    def _bucket(self, rows: int) -> int:
-        bucket = self.MIN_BUCKET
-        while bucket < rows:
-            bucket *= 2
-        return min(bucket, self.batch_rows) if rows <= self.batch_rows else rows
-
-    def _run_chunk(self, chunk: np.ndarray) -> np.ndarray:
-        rows = len(chunk)
-        bucket = self._bucket(rows)
-        if bucket == rows:
-            return self.engine.run(chunk)
-        key = (bucket, chunk.shape[1:])
-        buffer = self._pad_buffers.get(key)
-        if buffer is None:
-            # float64 up front: engine.run casts inputs to float64 anyway.
-            buffer = np.zeros((bucket,) + chunk.shape[1:], dtype=np.float64)
-            self._pad_buffers[key] = buffer
-        buffer[:rows] = chunk
-        buffer[rows:] = 0.0
-        return self._engine_call(buffer)[:rows]
 
     def _serve_fallback(self, batch: MicroBatch) -> None:
         if self.fallback is None:
@@ -246,12 +219,12 @@ class Replica:
         return healthy
 
     def run_rows(self, images: np.ndarray) -> np.ndarray:
-        """Run rows through the engine with the pool's chunk/pad policy.
+        """Run rows through the engine with the pool's chunking policy.
 
         The public face of :meth:`_engine_run`: process-pool workers call
-        this so their logits go through byte-identical bucketing (and
-        therefore byte-identical padding) to a thread replica's — the
-        cross-process conformance suite depends on it.
+        this so their engine sees exactly the row counts a thread
+        replica's would — the cross-process conformance suite compares
+        the two byte for byte.
         """
         return self._engine_run(images)
 

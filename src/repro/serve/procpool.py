@@ -80,9 +80,10 @@ class WorkerSpec:
 
     ``model_blob`` is the pickled deployed module (hooks dropped, eval
     mode); ``engine_overrides`` feed the worker's
-    :class:`~repro.runtime.engine.EngineConfig`; ``batch_rows`` fixes the
-    pow2-bucket padding so worker logits are bit-identical to a thread
-    replica's.  Build one with :meth:`for_module`.
+    :class:`~repro.runtime.engine.EngineConfig`; ``batch_rows`` is the
+    chunk size an oversized request is split into, the same as a thread
+    replica's, so worker logits are bit-identical to a thread replica's.
+    Build one with :meth:`for_module`.
     """
 
     model_blob: bytes
@@ -209,23 +210,33 @@ class ProcessWorker:
         self.conn = None
         self.ring: Optional[SpscRing] = None
         self.pid: Optional[int] = None
-        self.spawn()
 
     # -- lifecycle ----------------------------------------------------------
     def spawn(self) -> None:
-        """Start (or restart) the worker process with a fresh pipe + ring."""
+        """Start (or restart) the worker process with a fresh pipe + ring.
+
+        Does not wait for the worker: :meth:`await_ready` completes the
+        handshake, so a pool can spawn every worker before awaiting any.
+        """
         self._teardown_channels()
         self.ring = SpscRing.create(self.spec.ring_bytes, clock=self._clock)
         parent_conn, child_conn = self._context.Pipe(duplex=True)
-        self.process = self._context.Process(
+        self.conn = parent_conn
+        process = self._context.Process(
             target=_worker_main,
             args=(pickle.dumps(self.spec, protocol=4), child_conn, self.ring.name),
             name=f"repro-serve-proc-{self.index}",
             daemon=True,
         )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
+        try:
+            process.start()
+        finally:
+            child_conn.close()
+        self.process = process
+
+    def await_ready(self) -> None:
+        """Block until the spawned worker reports ready (or raise
+        :class:`WorkerDied`)."""
         kind, payload = self._recv(timeout_s=self._spawn_timeout_s)
         if kind != "ready":
             raise WorkerDied(f"worker {self.index} failed to report ready: {kind}")
@@ -246,6 +257,7 @@ class ProcessWorker:
     def stop(self, timeout_s: float = 10.0) -> None:
         """Politely stop the worker; escalate to kill on a hang."""
         if self.process is None:
+            self._teardown_channels()
             return
         if self.alive() and self.conn is not None:
             try:
@@ -279,6 +291,11 @@ class ProcessWorker:
         safe to recycle the moment this raises), and
         :class:`WorkerComputeError` if the worker's engine raised.
         """
+        return self.collect(self.submit(lease, shape), timeout_s)
+
+    def submit(self, lease: ShmLease, shape: Tuple[int, ...]) -> int:
+        """Send one leased batch without waiting; returns its sequence
+        number for :meth:`collect`.  The lease must stay held until then."""
         self._seq += 1
         seq = self._seq
         try:
@@ -286,6 +303,11 @@ class ProcessWorker:
         except (BrokenPipeError, OSError) as error:
             self._reap()
             raise WorkerDied(f"worker {self.index} pipe broke: {error}") from error
+        return seq
+
+    def collect(self, seq: int, timeout_s: float) -> np.ndarray:
+        """Block for the logits of the batch :meth:`submit` sent as ``seq``
+        (raises as :meth:`run` does)."""
         kind, rseq, payload = self._recv_run(timeout_s)
         if rseq != seq:
             self._kill()
@@ -483,11 +505,23 @@ class ProcessReplicaPool:
     def _ensure_workers_locked(self) -> None:
         if self._closed:
             raise ServerClosed("process pool is closed")
-        while len(self._workers) < self.workers:
-            self._workers.append(ProcessWorker(
-                index=len(self._workers), spec=self.spec,
-                context=self._context, clock=self.clock,
-            ))
+        fresh = [
+            ProcessWorker(index=index, spec=self.spec, context=self._context,
+                          clock=self.clock)
+            for index in range(len(self._workers), self.workers)
+        ]
+        try:
+            # Spawn every worker before awaiting any, so their interpreter
+            # start-ups and engine builds overlap instead of queueing.
+            for worker in fresh:
+                worker.spawn()
+            for worker in fresh:
+                worker.await_ready()
+        except BaseException:
+            for worker in fresh:
+                worker.stop()
+            raise
+        self._workers.extend(fresh)
 
     def start(self) -> None:
         """Spawn worker processes and their dispatcher threads (idempotent)."""
@@ -519,8 +553,7 @@ class ProcessReplicaPool:
         with self._lifecycle_lock:
             self._ensure_workers_locked()
             workers = list(self._workers)
-        for worker in workers:
-            self._worker_run(worker, sample)
+        self._run_on_all(workers, sample)
         if self.probe_every_batches > 0:
             self._arm_probe(sample)
 
@@ -628,6 +661,34 @@ class ProcessReplicaPool:
             self.allocator.release(lease)
             self._obs_set(self._obs_depth, worker, 0.0)
 
+    def _run_on_all(self, workers: List[ProcessWorker],
+                    images: np.ndarray) -> None:
+        """Run ``images`` on every worker at once: send each its batch,
+        then collect the replies.  Every sent batch is collected before
+        any lease is recycled, so the survivors' pipes stay in step when
+        one worker fails; the first failure is raised at the end."""
+        leases, pending = [], []
+        failure: Optional[BaseException] = None
+        try:
+            for worker in workers:
+                lease = self.allocator.lease(images.nbytes)
+                leases.append(lease)
+                np.copyto(self.allocator.view(lease, images.shape), images)
+                try:
+                    pending.append((worker, worker.submit(lease, images.shape)))
+                except WorkerDied as error:
+                    failure = failure or error
+        finally:
+            for worker, seq in pending:
+                try:
+                    worker.collect(seq, self.worker_timeout_s)
+                except (WorkerDied, WorkerComputeError) as error:
+                    failure = failure or error
+            for lease in leases:
+                self.allocator.release(lease)
+        if failure is not None:
+            raise failure
+
     def _try_restart(self, worker: ProcessWorker) -> bool:
         if worker.stats.restarts >= self.max_restarts:
             return False
@@ -636,6 +697,7 @@ class ProcessReplicaPool:
             self._obs_restarts[worker.index].inc()
         try:
             worker.spawn()
+            worker.await_ready()
         except (WorkerDied, OSError):
             return False
         return True

@@ -162,6 +162,38 @@ class TestSeededDefects:
         assert all(buf.scratch for buf in ir.buffers if buf.base == ir.arena)
         assert check_plan(engine.plan).ok
 
+    def test_clean_plan_views_one_output_at_several_row_counts(self, deployed_lenet,
+                                                                images):
+        engine = _traced_engine(deployed_lenet, images)
+        for rows in (1, 3, 2):
+            engine.run(images[:rows])
+        ir = engine.plan.summarize()
+        # Each owned workspace hands out prefix views of one backing, one
+        # per row count; they share bytes by design and must verify clean.
+        shapes: dict = {}
+        for buf in ir.buffers:
+            if not buf.scratch:
+                shapes.setdefault((buf.owner, buf.tag, buf.base), set()).add(buf.shape)
+        assert any(len(seen) >= 3 for seen in shapes.values())
+        assert check_plan(engine.plan).ok
+
+    def test_two_owned_keys_sharing_bytes_fire_pl602(self, deployed_lenet, images):
+        engine = _traced_engine(deployed_lenet, images)
+        plan = engine.plan
+        pool = plan.pool
+        first, second = _int_conv_steps(plan)[:2]
+        donor = next(k for k in pool._buffers if k[0] == (first.index, "out"))
+        thief = next(k for k in pool._buffers if k[0] == (second.index, "out"))
+        _, shape, dtype = thief
+        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        # The second conv's output placed on the first conv's backing: the
+        # second would overwrite its own input while reading it.
+        backing = pool._backings[donor[0]]
+        pool._buffers[thief] = backing[:nbytes].view(dtype).reshape(shape)
+        report = check_plan(plan)
+        assert any("multiple workspaces" in d.message
+                   for d in report.by_rule("PL602")), report.summary()
+
     def test_undeclared_scratch_view_fires_pl605(self, deployed_lenet, images):
         engine = _traced_engine(deployed_lenet, images)
         step = _int_conv_steps(engine.plan)[0]

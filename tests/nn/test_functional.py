@@ -91,6 +91,23 @@ class TestLinear:
         np.testing.assert_allclose(F.linear(x, w).data, x.data @ w.data.T)
 
 
+    def test_rows_do_not_depend_on_batch_mates(self, rng):
+        """Row-invariance: a row's output is bitwise the same alone as in a
+        batch (one (B, K) GEMM would let BLAS round per row count)."""
+        x = Tensor(rng.normal(size=(64, 400)))
+        w = Tensor(rng.normal(size=(120, 400)))
+        b = Tensor(rng.normal(size=(120,)))
+        full = F.linear(x, w, b).data
+        for i in range(len(full)):
+            alone = F.linear(Tensor(x.data[i : i + 1]), w, b).data[0]
+            assert np.array_equal(full[i], alone), f"row {i}"
+        for rows in (2, 3, 7, 9, 17):
+            assert np.array_equal(F.linear(Tensor(x.data[:rows]), w, b).data, full[:rows])
+
+    def test_gradient_without_batch_axis(self, rng):
+        check_gradients(F.linear, [rng.normal(size=(3,)), rng.normal(size=(2, 3))])
+
+
 class TestConv2d:
     def test_output_shape_basic(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 8, 8)))

@@ -168,11 +168,25 @@ class TestArena:
                 group = (key[0] if isinstance(key, tuple) else key, rows)
                 groups[group] = groups.get(group, 0) + buf.nbytes
         largest = max(groups.values())
-        outputs = sum(buf.nbytes for *_, buf, scratch, _ in records if not scratch)
+        # One backing per owned key, sized for its largest view.
+        owned: dict = {}
+        for key, _, _, buf, scratch, _ in records:
+            if not scratch:
+                owned[key] = max(owned.get(key, 0), buf.nbytes)
+        outputs = sum(owned.values())
         slack = BufferPool.ALIGN * len(records)
         assert plan.pool.nbytes <= largest + outputs + slack
         # Without sharing, every step's scratch would be resident at once.
         assert sum(groups.values()) > 4 * plan.pool.arena.nbytes
+
+    def test_rows_below_the_largest_run_allocate_nothing(self, deployed_resnet, rgb):
+        plan = compile_plan(deployed_resnet, rgb[:2], EngineConfig())
+        batch = np.asarray(np.concatenate([rgb] * 6)[:128], dtype=np.float64)
+        plan.run(batch)  # sizes the arena and every owned backing
+        nbytes = plan.pool.nbytes
+        for rows in range(1, 128):
+            plan.run(batch[:rows])
+            assert plan.pool.nbytes == nbytes, f"pool grew at {rows} rows"
 
     def test_arena_views_keep_identity_across_runs(self, deployed_resnet, rgb):
         plan = compile_plan(deployed_resnet, rgb[:2], EngineConfig())

@@ -57,31 +57,27 @@ class TestReplicaServing:
         assert replica.stats.batches == 1
         assert replica.stats.rows == 5
 
-    def test_shapes_seen_by_engine_are_bucketed(self):
-        """The engine only ever sees pow2 buckets (≥8) or batch_rows — the
-        property that keeps its shape-keyed buffer pool bounded."""
+    def test_engine_sees_exact_row_counts(self):
+        """Every batch runs at its own row count: nothing is padded."""
         engine = FakeEngine()
         replica = Replica(index=0, engine=engine, batch_rows=16)
-        for rows in (1, 5, 8, 11, 16, 23, 37):
-            batch, _ = make_batch(sizes=(rows,))
+        for rows in (1, 3, 5, 8, 11, 16):
+            batch, requests = make_batch(sizes=(rows,))
             replica.serve(batch)
-        assert {shape[0] for shape in engine.calls} <= {8, 16}
+            np.testing.assert_array_equal(
+                requests[0].future.result(0), logits_of(requests[0].images))
+        assert [shape[0] for shape in engine.calls] == [1, 3, 5, 8, 11, 16]
 
-    def test_padded_rows_sliced_off(self):
-        batch, requests = make_batch(sizes=(3,))  # pads 3 → bucket 8
-        replica = Replica(index=0, engine=FakeEngine(), batch_rows=16)
+    def test_oversized_request_chunked_to_batch_rows(self):
+        """Only a request larger than ``batch_rows`` is split, into
+        ``batch_rows`` chunks plus its exact remainder."""
+        engine = FakeEngine()
+        replica = Replica(index=0, engine=engine, batch_rows=16)
+        batch, requests = make_batch(sizes=(37,))
         replica.serve(batch)
-        result = requests[0].future.result(0)
-        assert result.shape == (3, 2)
-        np.testing.assert_array_equal(result, logits_of(requests[0].images))
-
-    def test_bucket_bounds(self):
-        replica = Replica(index=0, engine=FakeEngine(), batch_rows=128)
-        assert replica._bucket(1) == 8
-        assert replica._bucket(8) == 8
-        assert replica._bucket(9) == 16
-        assert replica._bucket(100) == 128  # clamped to batch_rows
-        assert replica._bucket(130) == 130  # oversize passes through
+        assert [shape[0] for shape in engine.calls] == [16, 16, 5]
+        np.testing.assert_array_equal(
+            requests[0].future.result(0), logits_of(requests[0].images))
 
     def test_batch_rows_validated(self):
         with pytest.raises(ValueError):

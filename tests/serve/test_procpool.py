@@ -36,6 +36,9 @@ from repro.flow.chaos import fault_schedule
 from repro.models.registry import build_model
 from repro.obs import Telemetry
 from repro.serve import ServeConfig, ServerClosed, WorkerSpec
+from repro.serve.batcher import MicroBatcher
+from repro.serve.procpool import ProcessReplicaPool, ProcessWorker, WorkerDied
+from repro.serve.queue import AdmissionQueue
 from repro.serve.shm import active_segment_names
 
 BATCH_ROWS = 8
@@ -249,6 +252,34 @@ class TestLifecycle:
         server.close(drain=False)
         with pytest.raises(ServerClosed):
             server.submit(images[:2])
+
+    def test_failed_ready_stops_every_spawned_worker(self, deployed_lenet,
+                                                      monkeypatch):
+        """Workers spawn together; when one never reports ready, the pool
+        stops and reaps all of them before raising (the autouse leak
+        guard checks that no process, ring or thread survives)."""
+        deployed, _ = deployed_lenet
+        spec = WorkerSpec.for_module(deployed, batch_rows=BATCH_ROWS)
+        batcher = MicroBatcher(AdmissionQueue(max_rows=64), batch_size=BATCH_ROWS)
+        pool = ProcessReplicaPool(spec, batcher, workers=2)
+        spawned = []
+        original = ProcessWorker.await_ready
+
+        def await_ready(worker):
+            spawned.append(worker.process)
+            if worker.index == 1:
+                raise WorkerDied("worker 1 failed to report ready: test")
+            original(worker)
+
+        monkeypatch.setattr(ProcessWorker, "await_ready", await_ready)
+        try:
+            with pytest.raises(WorkerDied):
+                pool.start()
+        finally:
+            pool.close()
+        assert len(spawned) == 2
+        assert not any(process.is_alive() for process in spawned)
+        assert pool.worker_pids() == []
 
     def test_close_is_idempotent(self, deployed_lenet):
         deployed, images = deployed_lenet
