@@ -1,15 +1,17 @@
 """Recording and reporting helpers for the performance reports.
 
-Benchmarks append their numbers to a ``BENCH_*.json`` file at the
-repository root via :func:`record` — ``BENCH_PR2.json`` (engine/kernels)
-by default, or any other report named via ``report``
-(``bench_serving.py`` writes ``BENCH_PR4.json``).  Files are merged, not
-overwritten, so separate pytest invocations (or a partial re-run) never
-lose each other's sections.  Writes go through
+Benchmarks append their numbers to a ``BENCH_*.json`` file under
+``bench_reports/`` (git-ignored) via :func:`record` — ``BENCH_PR2.json``
+(engine/kernels) by default, or any other report named via ``report``
+(``bench_serving.py`` writes ``BENCH_PR4.json``).  The ``BENCH_*.json``
+files committed at the repository root are the recorded history; a fresh
+run never rewrites them.  Files are merged, not overwritten, so separate
+pytest invocations (or a partial re-run) never lose each other's
+sections.  Writes go through
 :func:`repro.nn.serialization.atomic_write_text` (temp file + rename), so
 an interrupted bench can never leave a truncated JSON behind.
 
-Run as a module to print per-step deltas between two recorded reports::
+Run as a module to print per-step deltas between two committed reports::
 
     python -m benchmarks.perf_report                 # PR7 vs PR2
     python -m benchmarks.perf_report A.json B.json   # A vs B
@@ -26,18 +28,25 @@ from repro.nn.serialization import atomic_write_text
 
 _ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 DEFAULT_REPORT = "BENCH_PR2.json"
-REPORT_PATH = os.path.join(_ROOT, DEFAULT_REPORT)
+#: Where :func:`record` writes (listed in ``.gitignore``).
+OUTPUT_DIR = os.path.join(_ROOT, "bench_reports")
 
 
 def report_path(report: str = DEFAULT_REPORT) -> str:
-    """Absolute path of a repo-root benchmark report file."""
+    """Absolute path of a committed repo-root benchmark report (history)."""
     return os.path.join(_ROOT, report)
+
+
+def output_path(report: str = DEFAULT_REPORT) -> str:
+    """Absolute path a fresh run records ``report`` to."""
+    return os.path.join(OUTPUT_DIR, report)
 
 
 def record(section: str, name: str, payload: dict,
            report: str = DEFAULT_REPORT) -> str:
-    """Merge ``payload`` into ``report`` under ``section/name``."""
-    path = report_path(report)
+    """Merge ``payload`` into the run's ``report`` under ``section/name``."""
+    path = output_path(report)
+    os.makedirs(OUTPUT_DIR, exist_ok=True)
     data = {}
     if os.path.exists(path):
         try:

@@ -426,7 +426,7 @@ def check_plan(
     if target is None:
         target = (
             f"plan[{len(ir.steps)} steps, int={ir.int_steps}, "
-            f"path={ir.int_path}, kernels={ir.int_kernels}]"
+            f"path={ir.int_path}]"
         )
     return check_plan_ir(ir, config, target)
 

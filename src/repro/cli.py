@@ -241,10 +241,8 @@ def run_serve_bench(args: argparse.Namespace) -> str:
             lambda: deployed(Tensor(np.asarray(batch, dtype=np.float64))).data,
             len(batch),
         )
-    engine = make_inference_engine(
-        deployed, telemetry=telemetry,
-        int_path=args.int_path, int_kernels=args.int_kernels,
-    )
+    engine = make_inference_engine(deployed, telemetry=telemetry,
+                                   int_path=args.int_path)
     engine_rps = timed_rows_per_s(lambda: engine.run(batch), len(batch))
 
     load = LoadGenConfig(
@@ -439,16 +437,16 @@ PLAN_CHECK_ROWS = (1, 3, 2)
 def _check_plans(args: argparse.Namespace) -> tuple:
     """``repro check --plans``: statically verify compiled execution plans.
 
-    Deploys each model at each bit width, compiles a plan under every
-    integer-path variant (fused int, shift, legacy kernels), replays it at
-    1, 3 and 2 rows, and runs the PL6xx plan verifier on the compiled IR.
-    The engine's own post-compile gate is disabled here so findings
-    surface in the report (and the exit code) instead of being silently
-    swallowed by graph fallback.  Every model must compile in the ``int``
-    variant: a graph fallback there is a PL600 error naming the reason.  ``shift`` and ``legacy`` fallbacks
-    (ResNet's off-grid pow2 scales, the legacy kernels' missing residual
-    join) get an empty OK report whose note names the reason — the graph
-    executor needs no plan proof.
+    Deploys each model at each bit width, compiles a plan under both
+    integer-path variants (``int``: multiply requantize, ``shift``: pow2
+    shift requantize), replays it at 1, 3 and 2 rows, and runs the PL6xx
+    plan verifier on the compiled IR.  The engine's own post-compile gate
+    is disabled here so findings surface in the report (and the exit
+    code) instead of being silently swallowed by graph fallback.  Every
+    model must compile in the ``int`` variant: a graph fallback there is a
+    PL600 error naming the reason.  A ``shift`` fallback (ResNet's
+    off-grid pow2 scales) gets an empty OK report whose note names the
+    reason — the graph executor needs no plan proof.
     """
     import numpy as np
 
@@ -458,11 +456,7 @@ def _check_plans(args: argparse.Namespace) -> tuple:
     from repro.models.registry import build_model, get_spec
     from repro.runtime.engine import EngineConfig, InferenceEngine
 
-    variants = (
-        ("int", {"int_path": "auto", "int_kernels": "fused"}),
-        ("shift", {"int_path": "shift", "int_kernels": "fused"}),
-        ("legacy", {"int_path": "auto", "int_kernels": "legacy"}),
-    )
+    variants = (("int", "auto"), ("shift", "shift"))
     config = PlanCheckConfig(suppress=tuple(args.suppress))
     reports = []
     for model_name in args.models:
@@ -470,7 +464,7 @@ def _check_plans(args: argparse.Namespace) -> tuple:
         rng = np.random.default_rng(args.seed)
         sample = rng.uniform(0.0, 1.0, size=(3, *spec.input_shape))
         for bits in args.bits:
-            for variant, overrides in variants:
+            for variant, int_path in variants:
                 target = f"{model_name} plan (M=N={bits}, {variant})"
                 model = build_model(model_name, rng=np.random.default_rng(args.seed))
                 model.eval()
@@ -480,7 +474,7 @@ def _check_plans(args: argparse.Namespace) -> tuple:
                                      static_check="off"),
                 )
                 engine = InferenceEngine(
-                    deployed, EngineConfig(plan_check=False, **overrides)
+                    deployed, EngineConfig(plan_check=False, int_path=int_path)
                 )
                 # Several row counts, so PL602/PL605 audit the arena views
                 # and owned prefix views laid out for each of them.
@@ -784,9 +778,7 @@ def run_command(args: argparse.Namespace) -> str:
                 ),
                 train_set.images[:32],
             )
-            engine = make_inference_engine(
-                deployed, int_path=args.int_path, int_kernels=args.int_kernels,
-            )
+            engine = make_inference_engine(deployed, int_path=args.int_path)
             engine.run(test_set.images[:8])
             stats = engine.runtime_stats()
             sections.append(
@@ -861,11 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="integer fast path: auto (multiply requantize), off (float "
              "plans), or shift (snap scales to the pow2 grid and requantize "
              "with arithmetic right shifts — multiplier-less MACs)",
-    )
-    engine.add_argument(
-        "--int-kernels", choices=["fused", "legacy"], default="fused",
-        help="integer conv/linear kernels: fused uint8 GEMM with the "
-             "requantize epilogue, or the legacy per-step kernels",
     )
 
     serve = parser.add_argument_group("serve-bench / stream-bench options")
@@ -948,8 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--plans", action="store_true",
         help="deploy and trace each model and statically verify the "
-             "compiled execution plans (PL6xx rules) for every int "
-             "variant: int, shift, and legacy kernels",
+             "compiled execution plans (PL6xx rules) for both int "
+             "variants: int and shift",
     )
     return parser
 

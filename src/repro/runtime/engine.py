@@ -69,20 +69,6 @@ class EngineConfig:
         module and in general perturbs its logits, see
         ``docs/performance.md``), so every requantize runs as an
         arithmetic right shift with no multiplier.
-    int_kernels:
-        ``"fused"`` (default) uses the cached-lowering batched/channel-major
-        GEMM conv kernels with the pool-fused epilogue; ``"legacy"`` keeps
-        the PR2-era kernels for same-machine A/B benchmarking (not
-        compatible with ``int_path="shift"``).
-    exploit_sparsity:
-        Prune all-zero GEMM columns on the integer path (exact — spike
-        counts the Neuron Convergence regularizer zeroed contribute
-        nothing).
-    sparsity_max_density:
-        Prune only when the fraction of live columns is at or below this
-        (pruning overhead must buy a real GEMM reduction).
-    min_sparsity_columns:
-        Skip the sparsity scan for small GEMMs.
     verify_on_trace:
         Check the compiled plan against the graph executor on the trace
         batch before trusting it (cheap; runs once per trace).
@@ -112,10 +98,6 @@ class EngineConfig:
 
     dtype: type = np.float32
     int_path: str = "auto"
-    int_kernels: str = "fused"
-    exploit_sparsity: bool = True
-    sparsity_max_density: float = 0.75
-    min_sparsity_columns: int = 64
     verify_on_trace: bool = True
     static_check: bool = True
     plan_check: bool = True
@@ -128,12 +110,6 @@ class EngineConfig:
             raise ValueError(
                 f"int_path must be 'auto', 'off', or 'shift', got {self.int_path!r}"
             )
-        if self.int_kernels not in ("fused", "legacy"):
-            raise ValueError(
-                f"int_kernels must be 'fused' or 'legacy', got {self.int_kernels!r}"
-            )
-        if self.int_kernels == "legacy" and self.int_path == "shift":
-            raise ValueError("int_path='shift' requires the fused int kernels")
         if self.trace_batch < 1:
             raise ValueError(f"trace_batch must be >= 1, got {self.trace_batch}")
         if self.batch_size < 1:
@@ -166,7 +142,6 @@ class EngineStats:
             name: self._registry.counter(f"engine_{name}_total", help=text)
             for name, text in self.FIELDS.items()
         }
-        self.sparsity: dict = {}
 
     def counter(self, name: str) -> Counter:
         """The live backing counter for ``name`` (one of :attr:`FIELDS`)."""
@@ -463,14 +438,4 @@ class InferenceEngine:
             stats["steps"] = len(self._plan.steps)
             stats["int_steps"] = self._plan.int_steps
             stats["pool_bytes"] = self._plan.pool.nbytes
-            sparsity = {}
-            for step in self._plan.steps:
-                if hasattr(step, "last_density") and getattr(step, "gemm_runs", 0):
-                    sparsity[f"step{step.index}"] = {
-                        "density": round(step.last_density, 4),
-                        "pruned_runs": step.pruned_runs,
-                        "gemm_runs": step.gemm_runs,
-                    }
-            if sparsity:
-                stats["sparsity"] = sparsity
         return stats

@@ -25,9 +25,6 @@ the lowered graph, and compiles it into a flat list of fused steps:
   body's last integer conv: the shortcut enters its epilogue in output
   counts (an identity shortcut's counts, or a projection conv's un-floored
   affine sum), so the join never leaves the integer domain;
-- spike-domain sparsity (the Neuron Convergence regularizer zeroes most
-  counts) is exploited by pruning all-zero GEMM columns, which is exact in
-  integer arithmetic;
 - the integer conv kernels compile their im2col lowering into cached
   ``(dst_view, src_view)`` copy programs feeding a tap-major workspace
   and one GEMM, and absorb a trailing max pool into the requantize
@@ -325,7 +322,6 @@ class PlanIR:
     dtype: str
     int_steps: int
     int_path: str
-    int_kernels: str
     arena: Optional[int] = None  #: ``id()`` of the scratch arena's base
 
 
@@ -905,10 +901,6 @@ class _IntGemmMixin:
             self.q_offset = self.beta * act.gain + 0.5
             if getattr(config, "int_path", "auto") == "shift":
                 self._init_shift(bound)
-        self.config = config
-        self.gemm_runs = 0
-        self.pruned_runs = 0
-        self.last_density = 1.0
 
     def _init_shift(self, bound: float) -> None:
         """Derive the pure-shift requantize parameters (engine_shift mode).
@@ -977,240 +969,18 @@ class _IntGemmMixin:
             label += f", acc={self.acc_int_dtype.name} >>{self.shift}"
         return label
 
-    def _gemm(self, cols: np.ndarray, pool: BufferPool, key) -> np.ndarray:
-        """``cols @ codes_t`` with optional exact all-zero-column pruning."""
-        self.gemm_runs += 1
-        k = cols.shape[1]
-        cfg = self.config
-        if cfg.exploit_sparsity and k >= cfg.min_sparsity_columns:
-            # Cheap sampled gate first: the exact full-matrix scan only
-            # runs when a row sample suggests pruning will pay for it.
-            sample = cols[: min(cols.shape[0], 256)]
-            if float(sample.any(axis=0).mean()) <= cfg.sparsity_max_density:
-                nonzero = cols.any(axis=0)
-                self.last_density = float(nonzero.mean())
-                if self.last_density <= cfg.sparsity_max_density:
-                    self.pruned_runs += 1
-                    used = np.flatnonzero(nonzero)
-                    # Dropped columns are exactly zero in every row, so the
-                    # pruned integer GEMM is exact, not approximate.
-                    return np.ascontiguousarray(cols[:, used]) @ self.codes_t[used]
-        acc = pool.get((key, "acc"), (cols.shape[0], self.codes_t.shape[1]), self.carrier)
-        np.matmul(cols, self.codes_t, out=acc)
-        return acc
-
-    def _rescale(self, acc: np.ndarray, pool: BufferPool, key) -> np.ndarray:
-        y = pool.get((key, "y"), acc.shape, np.float64)
-        if self.counts_rep is not None:
-            # Fused affine + quantize (see _init_int).  The caller's
-            # truncating cast into the counts buffer supplies the floor.
-            np.multiply(acc, self.q_scale, out=y, casting="unsafe")
-            y += self.q_offset
-            np.clip(y, 0.0, self.act.top, out=y)
-        else:
-            np.multiply(acc, self.alpha, out=y, casting="unsafe")
-            y += self.beta
-            if self.act is not None:
-                self.act.apply_float(y)
-        return y
-
-
-class LegacyIntConvStep(Step, _IntGemmMixin):
-    """PR2-era integer conv kept for same-machine A/B benchmarking.
-
-    Works channel-major: activations flow as ``(C, B, H, W)``, the im2col
-    workspace is ``(K, B·oh·ow)`` filled by K contiguous slice copies, and
-    the GEMM is ``codes (oc, K) @ cols`` — so the output ``(oc, B, oh, ow)``
-    feeds the next pool/conv with no inter-layer transpose at all.  Only
-    exact-integer arithmetic is reordered; values are unchanged.
-
-    Selected via ``EngineConfig(int_kernels="legacy")``; the default is the
-    fused :class:`IntConvStep` below.  Does not implement the shift
-    epilogue (``int_path="shift"`` requires the fused kernels).
-    """
-
-    kind = "conv2d-int"
-    channel_major_out = True
-
-    def __init__(self, index: int, conv: Conv2d, codes: np.ndarray, scale: float,
-                 bits: int, rep_in: CountsRep, act: Optional[ActSpec], config,
-                 channel_major_in: bool) -> None:
-        Step.__init__(self, index)
-        self.conv = conv
-        self.channel_major_in = channel_major_in
-        self._init_int(conv, codes.reshape(conv.out_channels, -1), scale, bits,
-                       rep_in, act, config)
-        self.codes_mat = np.ascontiguousarray(self.codes_t.T)  # (oc, K)
-        self.beta_col = (
-            self.beta.reshape(-1, 1) if isinstance(self.beta, np.ndarray) else self.beta
-        )
-        if self.counts_rep is not None:
-            self.q_offset_col = (
-                self.q_offset.reshape(-1, 1)
-                if isinstance(self.q_offset, np.ndarray) else self.q_offset
-            )
-        self.pool_k: Optional[int] = None
-        self.pool_s: Optional[int] = None
-
-    def fuse_maxpool(self, mp: MaxPool2d) -> None:
-        """Absorb a following max pool: pooling the raw accumulator commutes
-        with the per-channel affine + quantize (both monotone in acc), so the
-        rescale touches k²× fewer elements and stays bit-exact."""
-        self.pool_k = mp.kernel_size
-        self.pool_s = mp.stride
-
-    def run(self, x: np.ndarray, pool: BufferPool) -> np.ndarray:
-        m = self.conv
-        if self.channel_major_in:
-            c, b, h, w = x.shape
-        else:
-            b, c, h, w = x.shape
-        k, s, p = m.kernel_size, m.stride, m.padding
-        xf = pool.get((self.index, "xf"), (c, b, h + 2 * p, w + 2 * p), self.carrier)
-        if p:
-            xf.fill(0)  # zero counts are exact zero values (offset-free rep)
-        target = xf[:, :, p : p + h, p : p + w] if p else xf
-        np.copyto(target, x if self.channel_major_in else x.transpose(1, 0, 2, 3),
-                  casting="unsafe")
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
-        cols = pool.get((self.index, "cols"), (c * k * k, b, oh, ow), self.carrier)
-        # One grouped copy per kernel offset: row ci·k² + ki·k + kj of cols is
-        # cols_v[ci, ki, kj], matching the (oc, c·k·k) codes layout.
-        cols_v = cols.reshape(c, k, k, b, oh, ow)
-        for ki in range(k):
-            for kj in range(k):
-                np.copyto(
-                    cols_v[:, ki, kj],
-                    xf[:, :, ki : ki + (oh - 1) * s + 1 : s,
-                       kj : kj + (ow - 1) * s + 1 : s],
-                )
-        acc = self._gemm_rows(cols.reshape(c * k * k, -1), pool)
-        if self.pool_k is not None:
-            accv = acc.reshape(m.out_channels, b, oh, ow)
-            pk, ps = self.pool_k, self.pool_s
-            ph = (oh - pk) // ps + 1
-            pw = (ow - pk) // ps + 1
-            pacc = pool.get((self.index, "pacc"), (m.out_channels, b, ph, pw),
-                            self.carrier)
-            np.copyto(pacc, accv[..., : (ph - 1) * ps + 1 : ps,
-                                 : (pw - 1) * ps + 1 : ps])
-            for pi in range(pk):
-                for pj in range(pk):
-                    if pi == 0 and pj == 0:
-                        continue
-                    np.maximum(
-                        pacc,
-                        accv[..., pi : pi + (ph - 1) * ps + 1 : ps,
-                             pj : pj + (pw - 1) * ps + 1 : ps],
-                        out=pacc,
-                    )
-            acc = pacc.reshape(m.out_channels, -1)
-            oh, ow = ph, pw
-        y = pool.get((self.index, "y"), acc.shape, np.float64)
-        if self.counts_rep is not None:
-            # Fused affine + quantize (see _init_int).  No explicit floor:
-            # after the clip y is non-negative, so the truncating cast into
-            # the integer counts buffer below IS the floor.
-            np.multiply(acc, self.q_scale, out=y, casting="unsafe")
-            y += self.q_offset_col
-            np.clip(y, 0.0, self.act.top, out=y)
-        else:
-            np.multiply(acc, self.alpha, out=y, casting="unsafe")
-            y += self.beta_col
-            if self.act is not None:
-                self.act.apply_float(y)
-        out = pool.get((self.index, "out"), (m.out_channels, b, oh, ow), self.out_dtype)
-        np.copyto(out, y.reshape(m.out_channels, b, oh, ow), casting="unsafe")
-        return out
-
-    def _gemm_rows(self, cols: np.ndarray, pool: BufferPool) -> np.ndarray:
-        """``codes (oc, K) @ cols (K, N)``, pruning all-zero *rows* of cols."""
-        self.gemm_runs += 1
-        cfg = self.config
-        if cfg.exploit_sparsity and cols.shape[0] >= cfg.min_sparsity_columns:
-            sample = cols[:, : min(cols.shape[1], 256)]
-            if float(sample.any(axis=1).mean()) <= cfg.sparsity_max_density:
-                nonzero = cols.any(axis=1)
-                self.last_density = float(nonzero.mean())
-                if self.last_density <= cfg.sparsity_max_density:
-                    self.pruned_runs += 1
-                    used = np.flatnonzero(nonzero)
-                    # Dropped rows are exactly zero everywhere: exact prune.
-                    return np.ascontiguousarray(self.codes_mat[:, used]) @ cols[used]
-        acc = pool.get((self.index, "acc"), (self.codes_mat.shape[0], cols.shape[1]),
-                       self.carrier)
-        np.matmul(self.codes_mat, cols, out=acc)
-        return acc
-
-    def describe(self) -> str:
-        c = self.conv
-        tail = "none" if self.act is None else self.act.describe()
-        if self.pool_k is not None:
-            tail += f" + maxpool(k={self.pool_k}, s={self.pool_s})"
-        return (f"conv2d({c.in_channels}→{c.out_channels}, k={c.kernel_size}) "
-                f"+ {tail} :: int-gemm[{self._gemm_label()}] → {self.out_dtype.name}"
-                " [channel-major]")
-
-    def summarize(self) -> StepIR:
-        """Declared IR: channel-major integer conv (no shift epilogue)."""
-        ws = self._int_workspaces("xf", "cols", "acc", "pacc")
-        ws["out"] = self.out_dtype.name
-        ir = self._int_ir(
-            ("cmajor",) if self.channel_major_in else ("batch",), "cmajor", ws)
-        if self.pool_k is not None:
-            ir.fused_pool = (self.pool_k, self.pool_s)
-        return ir
-
-
-class LegacyIntLinearStep(Step, _IntGemmMixin):
-    """PR2-era integer linear kept for same-machine A/B benchmarking."""
-
-    kind = "linear-int"
-
-    def __init__(self, index: int, lin: Linear, codes: np.ndarray, scale: float,
-                 bits: int, rep_in: CountsRep, act: Optional[ActSpec], config) -> None:
-        Step.__init__(self, index)
-        self.lin = lin
-        self._init_int(lin, codes, scale, bits, rep_in, act, config)
-
-    def run(self, x: np.ndarray, pool: BufferPool) -> np.ndarray:
-        cols = pool.get((self.index, "in"), x.shape, self.carrier)
-        np.copyto(cols, x, casting="unsafe")
-        acc = self._gemm(cols, pool, self.index)
-        y = self._rescale(acc, pool, self.index)
-        if self.counts_rep is not None:
-            counts = pool.get((self.index, "c"), y.shape, self.out_dtype)
-            np.copyto(counts, y, casting="unsafe")
-            return counts
-        return y
-
-    def describe(self) -> str:
-        m = self.lin
-        tail = "none" if self.act is None else self.act.describe()
-        return (f"linear({m.in_features}→{m.out_features}) + {tail} "
-                f":: int-gemm[{self._gemm_label()}] → {self.out_dtype.name}")
-
-    def summarize(self) -> StepIR:
-        """Declared IR: flat integer linear (legacy, no shift epilogue)."""
-        ws = self._int_workspaces("in", "acc")
-        ws["c"] = self.out_dtype.name
-        return self._int_ir(("flat",), "flat", ws)
-
 
 def _blast_view(x: np.ndarray, layout: str) -> np.ndarray:
-    """One ``(C, H, W, B)`` view of an activation in any conv layout."""
+    """One ``(C, H, W, B)`` view of a ``"blast"`` or ``"batch"`` activation."""
     if layout == "blast":
         return x
-    if layout == "cmajor":
-        return x.transpose(0, 2, 3, 1)
     return x.transpose(1, 2, 3, 0)
 
 
 class IntConvStep(Step, _IntGemmMixin):
     """Fused integer conv: cached im2col program → one int GEMM → one epilogue.
 
-    Three wins over :class:`LegacyIntConvStep`:
+    The plan's one integer conv kernel, built on three choices:
 
     - **Cached lowering.** The im2col copy is compiled once per buffer
       pairing into a list of ``(dst_view, src_view)`` slice pairs; each
@@ -1322,7 +1092,6 @@ class IntConvStep(Step, _IntGemmMixin):
         oc = m.out_channels
         oh = (h + 2 * p - k) // s + 1
         ow = (w + 2 * p - k) // s + 1
-        self.gemm_runs += 1
         if self.pool_k is not None:
             ph = (oh - self.pool_k) // self.pool_s + 1
             pw = (ow - self.pool_k) // self.pool_s + 1
@@ -1546,7 +1315,9 @@ class IntLinearStep(Step, _IntGemmMixin):
     def run(self, x: np.ndarray, pool: BufferPool) -> np.ndarray:
         cols = pool.get((self.index, "in"), x.shape, self.carrier)
         np.copyto(cols, x, casting="unsafe")
-        acc = self._gemm(cols, pool, self.index)
+        acc = pool.get((self.index, "acc"), (cols.shape[0], self.codes_t.shape[1]),
+                       self.carrier)
+        np.matmul(cols, self.codes_t, out=acc)
         out = pool.get((self.index, "c"), acc.shape, self.out_dtype)
         if self.shift is not None:
             acci = pool.get((self.index, "acci"), acc.shape, self.acc_int_dtype)
@@ -1682,9 +1453,9 @@ class MaxPoolStep(Step):
         return f"maxpool(k={self.kernel}, s={self.stride})"
 
     def summarize(self) -> StepIR:
-        """Declared IR: pools trailing axes — spatial-last layouts only."""
+        """Declared IR: pools trailing axes of batch-major activations."""
         return StepIR(self.index, self.kind, self.describe(),
-                      layouts_in=("batch", "cmajor"), rep_passthrough=True,
+                      layouts_in=("batch",), rep_passthrough=True,
                       workspaces={"": None})
 
 
@@ -1822,31 +1593,22 @@ class JoinStep(Step):
         )
 
 
-class ChannelMajorToBatchStep(Step):
-    """Restore batch-last ``(C, H, W, B)`` (fused int conv) or channel-major
-    ``(C, B, H, W)`` (legacy int conv) activations to ``(B, C, H, W)``."""
+class BatchLastToBatchStep(Step):
+    """Restore batch-last ``(C, H, W, B)`` int conv activations to
+    batch-major ``(B, C, H, W)``."""
 
     kind = "to-nchw"
 
-    def __init__(self, index: int, layout: str = "cmajor") -> None:
-        super().__init__(index)
-        self.layout = layout
-
     def run(self, x: np.ndarray, pool: BufferPool) -> np.ndarray:
-        if self.layout == "blast":
-            c, h, w, b = x.shape
-            out = pool.get(self.index, (b, c, h, w), x.dtype)
-            np.copyto(out, x.transpose(3, 0, 1, 2))
-            return out
-        c, b, h, w = x.shape
+        c, h, w, b = x.shape
         out = pool.get(self.index, (b, c, h, w), x.dtype)
-        np.copyto(out, x.transpose(1, 0, 2, 3))
+        np.copyto(out, x.transpose(3, 0, 1, 2))
         return out
 
     def summarize(self) -> StepIR:
-        """Declared IR: restores the declared source layout to batch-major."""
+        """Declared IR: batch-last in, batch-major out."""
         return StepIR(self.index, self.kind, self.describe(),
-                      layouts_in=(self.layout,), layout_out="batch",
+                      layouts_in=("blast",), layout_out="batch",
                       rep_passthrough=True, workspaces={"": None})
 
 
@@ -1862,11 +1624,6 @@ class FlattenStep(Step):
             b = x.shape[-1]
             out = pool.get(self.index, (b, x.size // b), x.dtype)
             np.copyto(out, x.reshape(-1, b).T)
-            return out
-        if self.layout == "cmajor":
-            c, b = x.shape[:2]
-            out = pool.get(self.index, (b, x.size // b), x.dtype)
-            np.copyto(out.reshape(b, c, *x.shape[2:]), np.moveaxis(x, 0, 1))
             return out
         return np.ascontiguousarray(x).reshape(x.shape[0], -1)
 
@@ -1948,19 +1705,17 @@ class _Compiler:
     """Emits steps for walked items, tracking the current value's slot,
     representation (float values or a :class:`CountsRep`) and layout."""
 
-    def __init__(self, config, int_mode: bool, dtype, int_kernels: str) -> None:
+    def __init__(self, config, int_mode: bool, dtype) -> None:
         self.config = config
         self.int_mode = int_mode
         self.dtype = dtype
-        self.legacy = int_kernels == "legacy"
         self.steps: List[Step] = []
         self.int_steps = 0
         self.slot = 0
         self.held: set = set()  # slots whose value a later join still reads
         self.rep: Optional[CountsRep] = FLOAT_REP
-        # Int convs flow activations in whatever layout their GEMM scheme
-        # emits: "blast" (C,H,W,B) for the fused kernels, "cmajor" (C,B,H,W)
-        # legacy.
+        # Int convs emit activations batch-last, "blast" (C,H,W,B); a step
+        # that cannot read it gets a BatchLastToBatchStep first.
         self.layout = "batch"
 
     @property
@@ -1982,7 +1737,7 @@ class _Compiler:
 
     def restore_batch_major(self) -> None:
         if self.layout != "batch":
-            self.add(ChannelMajorToBatchStep(self.index, self.layout))
+            self.add(BatchLastToBatchStep(self.index))
             self.layout = "batch"
 
     def dequant_if_counts(self) -> None:
@@ -2012,13 +1767,8 @@ class _Compiler:
 
     def int_conv(self, m: Conv2d, act: Optional[ActSpec], **kwargs) -> Step:
         codes, scale, bits = _grid_codes(m)
-        if self.legacy:
-            step = LegacyIntConvStep(self.index, m, codes, scale, bits, self.rep,
-                                     act, self.config,
-                                     channel_major_in=(self.layout == "cmajor"))
-        else:
-            step = IntConvStep(self.index, m, codes, scale, bits, self.rep, act,
-                               self.config, layout_in=self.layout, **kwargs)
+        step = IntConvStep(self.index, m, codes, scale, bits, self.rep, act,
+                           self.config, layout_in=self.layout, **kwargs)
         self.int_steps += 1
         return step
 
@@ -2057,12 +1807,11 @@ class _Compiler:
                         if i + 2 < len(items) and isinstance(items[i + 2], MaxPool2d):
                             step.fuse_maxpool(items[i + 2])
                             i += 1  # the max pool was fused
-                        self.layout = getattr(step, "layout_out", "cmajor")
+                        self.layout = step.layout_out
                     else:
                         codes, scale, bits = _grid_codes(m)
-                        cls = LegacyIntLinearStep if self.legacy else IntLinearStep
-                        step = cls(self.index, m, codes, scale, bits, self.rep,
-                                   fused_act, self.config)
+                        step = IntLinearStep(self.index, m, codes, scale, bits,
+                                             self.rep, fused_act, self.config)
                         self.int_steps += 1
                     self.add(step)
                     self.rep = step.counts_rep
@@ -2080,10 +1829,9 @@ class _Compiler:
                 self.add(ActStep(self.index, _act_spec(m), self.dtype))
 
             elif isinstance(m, MaxPool2d):
-                if self.layout == "blast":
-                    # MaxPoolStep pools the trailing axes; batch-last keeps
-                    # space in the middle, so restore batch-major first.
-                    self.restore_batch_major()
+                # MaxPoolStep pools the trailing axes; batch-last keeps
+                # space in the middle, so restore batch-major first.
+                self.restore_batch_major()
                 self.add(MaxPoolStep(self.index, m))  # monotone: counts pass through
 
             elif isinstance(m, AvgPool2d):
@@ -2117,8 +1865,6 @@ class _Compiler:
         expressed in its output counts; otherwise both branches are
         dequantized and added in float64 by a :class:`JoinStep`.
         """
-        if self.int_mode and self.legacy:
-            raise PlanError("the legacy int kernels do not implement residual joins")
         x_slot, x_rep, x_layout = self.slot, self.rep, self.layout
         self.held.add(x_slot)
         act = None
@@ -2133,7 +1879,7 @@ class _Compiler:
         )
         self.chain(body[:-1] if fusable else body)
         if fusable:
-            mode = self._int_join_mode(join.shortcut, x_rep, x_layout, act)
+            mode = self._int_join_mode(join.shortcut, x_rep, act)
             if mode is not None and self.int_ready(last, act):
                 self._int_join(last, act, mode, join.shortcut, x_slot, x_rep, x_layout)
                 return
@@ -2141,11 +1887,11 @@ class _Compiler:
         self._float_join(join, act, x_slot, x_rep, x_layout)
 
     @staticmethod
-    def _int_join_mode(shortcut: list, x_rep: Optional[CountsRep], x_layout: str,
+    def _int_join_mode(shortcut: list, x_rep: Optional[CountsRep],
                        act: ActSpec) -> Optional[str]:
         """``"identity"``/``"projection"`` if the shortcut can enter the
         body's epilogue in output counts, else None."""
-        if x_rep is None or x_layout not in ("batch", "blast"):
+        if x_rep is None:
             return None
         if not shortcut:
             # counts/gain_in · gain_out = counts exactly iff the gains agree.
@@ -2201,15 +1947,13 @@ class ExecutionPlan:
     plus their buffer pool."""
 
     def __init__(self, steps: Sequence[Step], leaves: Sequence[Module], dtype,
-                 int_steps: int, int_path: str = "auto",
-                 int_kernels: str = "fused") -> None:
+                 int_steps: int, int_path: str = "auto") -> None:
         self.steps = list(steps)
         self.pool = BufferPool({step.index: step.scratch for step in self.steps},
                                on_move=[step.forget_views for step in self.steps])
         self.dtype = np.dtype(dtype)
         self.int_steps = int_steps
         self.int_path = int_path
-        self.int_kernels = int_kernels
         # (step, main slot, shortcut slot or None, output slot) per step.
         self._wiring = [
             (step, step.inputs[0], step.inputs[1] if len(step.inputs) > 1 else None,
@@ -2341,7 +2085,7 @@ class ExecutionPlan:
             steps.append(ir)
         return PlanIR(steps=steps, buffers=buffers, dtype=self.dtype.name,
                       int_steps=self.int_steps, int_path=self.int_path,
-                      int_kernels=self.int_kernels, arena=id(self.pool.arena))
+                      arena=id(self.pool.arena))
 
     def describe(self) -> str:
         lines = [
@@ -2369,8 +2113,7 @@ def compile_plan(module: Module, sample: np.ndarray, config) -> ExecutionPlan:
     """Lower, walk and compile ``module`` into an :class:`ExecutionPlan`.
 
     ``config`` is an ``EngineConfig`` (duck-typed: dtype, int_path,
-    int_kernels, exploit_sparsity, sparsity_max_density,
-    min_sparsity_columns, verify_on_trace).  With ``verify_on_trace`` the
+    verify_on_trace).  With ``verify_on_trace`` the
     plan is checked against one graph forward on ``sample``.  Raises
     :class:`PlanError` when the module cannot be compiled or the compiled
     plan fails that check.
@@ -2381,21 +2124,17 @@ def compile_plan(module: Module, sample: np.ndarray, config) -> ExecutionPlan:
     int_mode = config.int_path != "off" and any(
         isinstance(m, (Conv2d, Linear)) and _grid_codes(m) is not None for m in leaves
     )
-    int_kernels = getattr(config, "int_kernels", "fused")
-    if int_kernels == "legacy" and config.int_path == "shift":
-        raise PlanError("the legacy int kernels do not implement the shift epilogue")
     # Any float arithmetic inside an int plan runs in float64 so the fast
     # path stays comparable to the graph executor at tie-breaking precision.
     dtype = np.dtype(np.float64) if int_mode else np.dtype(config.dtype)
 
-    compiler = _Compiler(config, int_mode, dtype, int_kernels)
+    compiler = _Compiler(config, int_mode, dtype)
     compiler.chain(items)
     compiler.restore_batch_major()
     if compiler.rep is not None:
         compiler.add(DequantStep(compiler.index, compiler.rep, dtype))
     plan = ExecutionPlan(compiler.steps, leaves, dtype, compiler.int_steps,
-                         int_path=("off" if not int_mode else config.int_path),
-                         int_kernels=int_kernels)
+                         int_path=("off" if not int_mode else config.int_path))
 
     if config.verify_on_trace:
         batch = np.asarray(sample, dtype=np.float64)

@@ -97,9 +97,8 @@ class WorkerSpec:
         """Spec a worker for a deployed module (hooks cloned away).
 
         ``engine_overrides`` mirror :func:`~repro.core.deployment.
-        make_inference_engine` keywords (``int_path``, ``int_kernels``,
-        ``dtype`` …) so thread and process pools select kernels the same
-        way.
+        make_inference_engine` keywords (``int_path``, ``dtype`` …) so
+        thread and process pools select kernels the same way.
         """
         from repro.core.surgery import clone_module  # lazy: core sits below serve
 

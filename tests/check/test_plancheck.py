@@ -82,10 +82,9 @@ def _int_conv_steps(plan):
 
 class TestCleanPlans:
     @pytest.mark.parametrize("overrides", [
-        {"int_path": "auto", "int_kernels": "fused"},
-        {"int_path": "shift", "int_kernels": "fused"},
-        {"int_path": "auto", "int_kernels": "legacy"},
-    ], ids=["int", "shift", "legacy"])
+        {"int_path": "auto"},
+        {"int_path": "shift"},
+    ], ids=["int", "shift"])
     def test_traced_lenet_plan_verifies(self, deployed_lenet, images, overrides):
         engine = _traced_engine(deployed_lenet, images, **overrides)
         report = check_plan(engine.plan)
@@ -249,7 +248,7 @@ class TestResidualPlans:
     def test_join_layout_mismatch_fires_pl603(self, resnet_case):
         engine = _traced_engine(*resnet_case)
         step = _join_steps(engine.plan, "identity")[-1]
-        step.skip_layout = "cmajor"  # claims a channel-major shortcut
+        step.skip_layout = "batch"  # claims a batch-major shortcut
         report = check_plan(engine.plan)
         assert any("layouts" in d.message for d in report.by_rule("PL603")), \
             report.summary()

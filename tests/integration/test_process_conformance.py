@@ -4,11 +4,10 @@ The process pool's whole claim is that moving a replica into a worker
 process — pickled module spec, re-traced plan, tensors through shared
 memory, logits back through a ring — changes *nothing* about the bytes a
 caller receives.  This suite locks that down for every registered model
-spec × every kernel variant × telemetry off/on:
+spec × both integer-path variants × telemetry off/on:
 
 - ``int``    — fused uint8 GEMM fast path (``int_path="auto"``),
-- ``shift``  — pow2-snapped scales, requantize by arithmetic shift,
-- ``legacy`` — the unfused integer kernels (``int_kernels="legacy"``).
+- ``shift``  — pow2-snapped scales, requantize by arithmetic shift.
 
 The reference is a *direct* in-process engine replay built from an
 identical clone with identical config.  The shift variant snaps its
@@ -47,14 +46,12 @@ SIGNAL_BITS = 4
 VARIANTS = {
     "int": dict(int_path="auto"),
     "shift": dict(int_path="shift"),
-    "legacy": dict(int_path="auto", int_kernels="legacy"),
 }
 
 #: (model, variant) cells whose engines serve from the graph executor,
 #: which must still be bit-exact: ResNet's pow2 snap leaves requantize
-#: scales off the grid (shift), and the legacy kernels have no residual
-#: join.
-GRAPH_CELLS = {("resnet", "shift"), ("resnet", "legacy")}
+#: scales off the grid (shift).
+GRAPH_CELLS = {("resnet", "shift")}
 
 
 @pytest.fixture(scope="module", params=available_models())
@@ -93,10 +90,7 @@ def test_process_server_matches_direct_engine(deployment, variant, observed):
     reference_engine = make_inference_engine(
         copy.deepcopy(deployed), **overrides)
     reference = reference_engine.run(images)
-    # legacy selects kernels, not the backend
-    expected_backend = "int" if variant == "legacy" else variant
-    if (name, variant) in GRAPH_CELLS:
-        expected_backend = "graph"
+    expected_backend = "graph" if (name, variant) in GRAPH_CELLS else variant
     assert reference_engine.active_backend == expected_backend
 
     baseline = set(active_segment_names())

@@ -147,10 +147,6 @@ class TestResidualJoins:
         got = plan.run(np.asarray(rgb[:8], dtype=np.float64))
         np.testing.assert_array_equal(got, graph_logits(deployed, rgb[:8]))
 
-    def test_legacy_kernels_refuse_joins(self, deployed_resnet, rgb):
-        with pytest.raises(PlanError, match="residual"):
-            compile_plan(deployed_resnet, rgb[:2], EngineConfig(int_kernels="legacy"))
-
 
 class TestArena:
     def test_pool_holds_one_step_of_scratch_plus_outputs(self, deployed_resnet, rgb):
