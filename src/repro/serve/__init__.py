@@ -11,18 +11,20 @@ system":
 - :mod:`repro.serve.batcher` — work-conserving micro-batching: an idle
   replica takes whatever is queued, up to ``batch_size`` rows, with no
   wait budget; logits scatter back bit-exactly.
-- :mod:`repro.serve.pool` — a replica pool of worker threads, each
-  owning its own :class:`~repro.runtime.engine.InferenceEngine`, with
-  health probes, degraded-mode fallback, and graceful drain.
+- :mod:`repro.serve.pool` — the replica pool: one replica per
+  :class:`Executor` (an in-process :class:`EngineExecutor` or a worker
+  process), each owning its own
+  :class:`~repro.runtime.engine.InferenceEngine`, with health probes,
+  restart-and-retry, degraded-mode fallback, and graceful drain.
 - :mod:`repro.serve.shm` — the shared-memory data plane: a slab
   allocator with generation-tagged leases plus a per-worker SPSC
   result ring (every segment in the repo goes through it — lint
   RL008).
-- :mod:`repro.serve.procpool` — the multi-process replica pool
+- :mod:`repro.serve.procpool` — the worker-process executor
   (``ServeConfig(pool="process")``): worker processes rebuilt from a
   picklable :class:`WorkerSpec`, zero-copy tensors over
-  :mod:`repro.serve.shm`, heartbeat + probe-vector health folded into
-  the same degraded-mode fallback.
+  :mod:`repro.serve.shm`, probe-vector health folded into the same
+  degraded-mode fallback.
 - :mod:`repro.serve.server` — the :class:`ModelServer` facade
   (``submit`` / ``submit_many`` / ``stats`` / ``close``).
 - :mod:`repro.serve.loadgen` — a deterministic closed-loop load
@@ -45,13 +47,15 @@ from repro.serve.loadgen import (
     run_load,
     run_stream_load,
 )
-from repro.serve.pool import Replica, ReplicaPool, ReplicaStats
-from repro.serve.procpool import (
-    ProcessReplicaPool,
-    ProcessWorker,
+from repro.serve.pool import (
+    EngineExecutor,
+    Executor,
+    Replica,
+    ReplicaPool,
+    ReplicaStats,
     WorkerDied,
-    WorkerSpec,
 )
+from repro.serve.procpool import ProcessWorker, WorkerSpec
 from repro.serve.queue import (
     AdmissionQueue,
     DeadlineExceeded,
@@ -83,13 +87,14 @@ from repro.serve.stream import (
 __all__ = [
     "AdmissionQueue",
     "DeadlineExceeded",
+    "EngineExecutor",
+    "Executor",
     "LatencyWindow",
     "LoadGenConfig",
     "LoadReport",
     "MicroBatch",
     "MicroBatcher",
     "ModelServer",
-    "ProcessReplicaPool",
     "ProcessWorker",
     "Replica",
     "ReplicaPool",

@@ -1,42 +1,127 @@
-"""Engine replica pool: N worker threads, each owning one compiled engine.
+"""Replica pool: one replica per executor, fed from one micro-batcher.
 
-Each :class:`Replica` holds its **own** :class:`~repro.runtime.engine.
-InferenceEngine` — execution plans and buffer pools are per-replica, so
-the hot path shares no mutable state between workers (the deployed
-module's weights are shared, but only read).  The numpy GEMMs that
-dominate plan replay release the GIL, so replicas genuinely overlap on
-multicore hosts.
+An :class:`Executor` is where a replica's rows run: an in-process engine
+(:class:`EngineExecutor`, ``pool="thread"``) or an engine in its own
+worker process (:class:`~repro.serve.procpool.ProcessWorker`,
+``pool="process"``).  A :class:`Replica` wraps one executor in the
+serving policy, written once and blind to the executor kind:
 
-Two extra behaviours production demands:
+- **compute error** (anything ``run_rows`` raises but
+  :class:`WorkerDied`) — counted; ``MAX_CONSECUTIVE_FAILURES`` in a row
+  degrade the replica; the batch is served from the fallback, or failed
+  when there is none.
+- **dead executor** (:class:`WorkerDied`) — within ``max_restarts`` the
+  executor is restarted and the batch retried exactly once; otherwise
+  the replica is degraded and the batch served from the fallback.
+- **probe** — every ``probe_every_batches`` dispatches; a failed probe
+  degrades the replica.  A degraded replica serves every batch from the
+  fallback — typically :meth:`~repro.runtime.guard.GuardedSpikingSystem.
+  infer`, itself locked, probed, and never worse than the software twin.
 
-- **degraded mode** — every ``probe_every_batches`` dispatches a replica
-  runs its health probe; a tripped probe (or repeated engine failures)
-  flips the replica to the fallback path — typically
-  :meth:`~repro.runtime.guard.GuardedSpikingSystem.infer`, which is
-  itself internally locked, probed, and never worse than the software
-  twin.  A replica with no fallback fails the batch instead.
-- **graceful drain** — :meth:`ReplicaPool.close` with ``drain=True``
-  stops admissions but keeps workers pulling until the queue is empty,
-  so every in-flight and queued request gets an answer before the
-  threads exit.
-
-Tracing is serialized across replicas: ``compile_plan`` attaches forward
-hooks to the (shared) module while tracing, so only one replica may
-trace at a time; steady-state replay never touches the module's hooks.
+:class:`ReplicaPool` owns the executors' lifecycle and the dispatchers.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.obs import Telemetry
 from repro.serve.batcher import MicroBatch, MicroBatcher
 from repro.serve.queue import ServerClosed
+
+
+class WorkerDied(RuntimeError):
+    """The executor is gone: its worker exited, or hung past its timeout."""
+
+
+class Executor:
+    """Where a replica's rows run: the contract every executor implements.
+
+    :meth:`run_rows` raises :class:`WorkerDied` when the executor is
+    gone; any other exception is a compute error.  All other methods
+    default to an in-process executor that cannot die.  ``engine``
+    answers ``stats``, ``runtime_stats()`` and ``active_backend``; ``pid``
+    is the worker process id (``None`` in-process).
+    """
+
+    engine = None
+    pid: Optional[int] = None
+
+    def run_rows(self, images: np.ndarray) -> np.ndarray:
+        """Logits of ``images``, one row each."""
+        raise NotImplementedError
+
+    def submit(self, images: np.ndarray) -> Callable[[], np.ndarray]:
+        """Start running ``images``; the returned call blocks for their
+        logits.  In-process rows run here and now, in the caller's thread."""
+        logits = self.run_rows(images)
+        return lambda: logits
+
+    def spawn(self) -> None:
+        """Begin starting up; a pool spawns every executor, then awaits all."""
+
+    def await_ready(self) -> None:
+        """Block until :meth:`spawn`'s start-up has finished."""
+
+    def alive(self) -> bool:
+        """Whether the executor can run rows now."""
+        return True
+
+    def restart(self) -> bool:
+        """Replace a dead executor; ``False`` when it cannot be replaced."""
+        return False
+
+    def stop(self) -> None:
+        """Release whatever the executor holds (idempotent)."""
+
+
+class EngineExecutor(Executor):
+    """Runs rows on an in-process engine, at their exact row count.
+
+    Only a single request larger than ``batch_rows`` is split, into
+    ``batch_rows`` chunks; nothing is padded.  A row's logits do not
+    depend on how many rows share its run, so the split never changes an
+    answer.  Tracing attaches forward hooks to the shared module, so a
+    planless engine (tracing, or graph-only) runs under ``trace_lock``,
+    shared by the executors of one module; plan replay takes no lock.
+    """
+
+    def __init__(self, engine, batch_rows: int = 128,
+                 trace_lock: Optional[threading.Lock] = None) -> None:
+        if batch_rows < 1:
+            raise ValueError(f"batch_rows must be >= 1, got {batch_rows}")
+        self.engine = engine
+        self.batch_rows = batch_rows
+        self._trace_lock = trace_lock or threading.Lock()
+
+    def run_rows(self, images: np.ndarray) -> np.ndarray:
+        """The engine's logits of ``images``, chunked to ``batch_rows``."""
+        rows = len(images)
+        if rows <= self.batch_rows:
+            return self._engine_call(images)
+        return np.concatenate([
+            self._engine_call(images[start : start + self.batch_rows])
+            for start in range(0, rows, self.batch_rows)
+        ], axis=0)
+
+    def _engine_call(self, array: np.ndarray) -> np.ndarray:
+        if self.engine.plan is None:
+            with self._trace_lock:
+                return self.engine.run(array)
+        return self.engine.run(array)
+
+
+def engine_executors(engine_factory: Callable[[], object], workers: int,
+                     batch_rows: int = 128) -> List[EngineExecutor]:
+    """``workers`` in-process executors, one engine each, one trace lock."""
+    trace_lock = threading.Lock()
+    return [EngineExecutor(engine_factory(), batch_rows, trace_lock)
+            for _ in range(workers)]
 
 
 @dataclass
@@ -49,63 +134,57 @@ class ReplicaStats:
     engine_failures: int = 0
     probes_run: int = 0
     probes_failed: int = 0
+    restarts: int = 0
     degraded: bool = False
 
 
-class Replica:
-    """One worker: a private engine plus the shared fallback path."""
+#: per-replica counters: stats key → (metric name, help).
+_REPLICA_COUNTERS = {
+    "batches": ("serve_replica_batches_total", "Micro-batches served, by replica"),
+    "rows": ("serve_replica_rows_total", "Image rows served, by replica"),
+    "fallback_batches": ("serve_fallback_batches_total", "Micro-batches served by the fallback path"),
+    "engine_failures": ("serve_engine_failures_total", "Engine exceptions caught while serving"),
+    "restarts": ("serve_worker_restarts_total", "Executors restarted after dying"),
+}
 
-    #: consecutive engine failures before a replica condemns itself.
+
+class Replica:
+    """One executor plus the serving policy around it."""
+
+    #: consecutive compute errors before a replica condemns itself.
     MAX_CONSECUTIVE_FAILURES = 3
 
-    def __init__(
-        self,
-        index: int,
-        engine,
-        fallback: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        health_probe: Optional[Callable[[], bool]] = None,
-        probe_every_batches: int = 0,
-        trace_lock: Optional[threading.Lock] = None,
-        batch_rows: int = 128,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        if batch_rows < 1:
-            raise ValueError(f"batch_rows must be >= 1, got {batch_rows}")
+    def __init__(self, index: int, executor: Executor,
+                 fallback: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 health_probe: Optional[Callable[[Executor], bool]] = None,
+                 probe_every_batches: int = 0, max_restarts: int = 0,
+                 telemetry: Optional[Telemetry] = None) -> None:
         self.index = index
-        self.engine = engine
+        self.executor = executor
         self.fallback = fallback
         self.health_probe = health_probe
         self.probe_every_batches = probe_every_batches
-        self.batch_rows = batch_rows
+        self.max_restarts = max_restarts
         self.telemetry = telemetry
         self.stats = ReplicaStats()
-        self._trace_lock = trace_lock or threading.Lock()
         self._consecutive_failures = 0
         # Instruments resolved once; the replica label keeps per-worker
         # series while sums across replicas give the pool-wide view.
         if telemetry is not None:
             registry = telemetry.registry
-            label = str(index)
             self._obs = {
-                "batches": registry.counter(
-                    "serve_replica_batches_total",
-                    help="Micro-batches served, by replica", replica=label),
-                "rows": registry.counter(
-                    "serve_replica_rows_total",
-                    help="Image rows served, by replica", replica=label),
-                "fallback_batches": registry.counter(
-                    "serve_fallback_batches_total",
-                    help="Micro-batches served by the fallback path",
-                    replica=label),
-                "engine_failures": registry.counter(
-                    "serve_engine_failures_total",
-                    help="Engine exceptions caught while serving",
-                    replica=label),
+                key: registry.counter(name, help=text, replica=str(index))
+                for key, (name, text) in _REPLICA_COUNTERS.items()
             }
             self._obs_degraded = registry.gauge(
                 "serve_replica_degraded",
                 help="1 while the replica serves from its fallback path",
-                replica=label)
+                replica=str(index))
+
+    @property
+    def engine(self):
+        """The executor's engine (its counters feed replica stats)."""
+        return self.executor.engine
 
     def _obs_inc(self, key: str, amount: float = 1) -> None:
         if self.telemetry is not None:
@@ -133,104 +212,81 @@ class Replica:
             self._serve_fallback(batch)
             return
         try:
-            logits = self._engine_run(batch.images)
+            logits = self._attempt(self.executor.run_rows, batch.images)
+        except WorkerDied:
+            self._set_degraded()
+            self._serve_fallback(batch)
+            return
         except Exception as error:
             self.stats.engine_failures += 1
             self._obs_inc("engine_failures")
             self._consecutive_failures += 1
             if self._consecutive_failures >= self.MAX_CONSECUTIVE_FAILURES:
                 self._set_degraded()
-            if self.fallback is not None:
-                self._serve_fallback(batch)
-            else:
-                batch.fail(error)
+            self._serve_fallback(batch, error)
             return
         self._consecutive_failures = 0
         batch.scatter(logits)
+
+    def _attempt(self, call: Callable, *args):
+        """``call(*args)``; when the executor dies, restart it (within
+        ``max_restarts``) and retry exactly once."""
+        try:
+            return call(*args)
+        except WorkerDied:
+            if not self._restart():
+                raise
+        return call(*args)
+
+    def _restart(self) -> bool:
+        if self.stats.restarts >= self.max_restarts:
+            return False
+        self.stats.restarts += 1
+        self._obs_inc("restarts")
+        return self.executor.restart()
 
     def _set_degraded(self) -> None:
         self.stats.degraded = True
         if self.telemetry is not None:
             self._obs_degraded.set(1.0)
 
-    def _engine_run(self, images: np.ndarray) -> np.ndarray:
-        """Run ``images`` through the engine at their exact row count.
-
-        A batch is one engine call of exactly its rows; only a single
-        request larger than ``batch_rows`` is split into ``batch_rows``
-        chunks.  Nothing is padded: the plan's
-        :class:`~repro.runtime.plan.BufferPool` sizes every workspace once
-        for the largest batch and serves smaller row counts from views of
-        it, and a row's logits do not depend on how many rows share its
-        run (integer GEMMs plus the row-invariant float linear), so the
-        split never changes an answer.
-        """
-        rows = len(images)
-        if rows <= self.batch_rows:
-            return self._engine_call(images)
-        return np.concatenate([
-            self._engine_call(images[start : start + self.batch_rows])
-            for start in range(0, rows, self.batch_rows)
-        ], axis=0)
-
-    def _engine_call(self, array: np.ndarray) -> np.ndarray:
-        if self.engine.plan is None:
-            # Tracing attaches forward hooks to the (shared) module: one
-            # replica at a time.  Engines that stay planless (graph-only
-            # fallback) keep serializing here, which is safe — the graph
-            # executor walks the shared module's hook lists.
-            with self._trace_lock:
-                return self.engine.run(array)
-        return self.engine.run(array)
-
-    def _serve_fallback(self, batch: MicroBatch) -> None:
+    def _serve_fallback(self, batch: MicroBatch,
+                        error: Optional[BaseException] = None) -> None:
+        """Answer from the fallback; without one, fail with ``error``."""
         if self.fallback is None:
-            batch.fail(RuntimeError(
-                f"replica {self.index} is degraded and has no fallback path"
-            ))
+            batch.fail(error or RuntimeError(
+                f"replica {self.index} is degraded and has no fallback path"))
             return
         self.stats.fallback_batches += 1
         self._obs_inc("fallback_batches")
         try:
             batch.scatter(np.asarray(self.fallback(batch.images)))
-        except Exception as error:
+        except Exception as error:  # surfaced on every member future
             batch.fail(error)
 
     # -- health -------------------------------------------------------------
     def _probe_due(self) -> bool:
-        if self.probe_every_batches <= 0 or self.health_probe is None:
-            return False
-        if self.stats.degraded:
-            return False
-        return self.stats.batches % self.probe_every_batches == 0
+        return (self.health_probe is not None and self.probe_every_batches > 0
+                and not self.stats.degraded
+                and self.stats.batches % self.probe_every_batches == 0)
 
     def run_probe(self) -> bool:
-        """Run the health probe now; trip degraded mode on failure."""
+        """Run the health probe now; degrade the replica on failure.
+
+        A probe that finds the executor dead restarts it and probes again,
+        exactly as a batch is retried; a probe that raises has failed.
+        """
         if self.health_probe is None:
             return True
         self.stats.probes_run += 1
         try:
-            healthy = bool(self.health_probe())
+            healthy = bool(self._attempt(self.health_probe, self.executor))
         except Exception:
             healthy = False
         if not healthy:
             self.stats.probes_failed += 1
             self._set_degraded()
         return healthy
-
-    def run_rows(self, images: np.ndarray) -> np.ndarray:
-        """Run rows through the engine with the pool's chunking policy.
-
-        The public face of :meth:`_engine_run`: process-pool workers call
-        this so their engine sees exactly the row counts a thread
-        replica's would — the cross-process conformance suite compares
-        the two byte for byte.
-        """
-        return self._engine_run(images)
-
-    def warmup(self, sample: np.ndarray) -> None:
-        """Trace this replica's plan outside the serving path."""
-        self._engine_run(sample)
 
 
 @dataclass
@@ -254,92 +310,104 @@ def _available_cores() -> int:
 
 
 class ReplicaPool:
-    """Drive N replicas from one shared :class:`MicroBatcher`.
+    """Drive one replica per executor from one shared :class:`MicroBatcher`.
 
-    ``compute_slots`` bounds how many replicas *execute* at once
-    (batch formation still overlaps freely).  It defaults to
-    ``min(workers, available cores)``: engine GEMMs release the GIL, so
-    more concurrent runs than cores just timeslice against each other
-    and thrash caches — on an oversubscribed host the semaphore keeps
-    per-run working sets hot instead.
+    Every executor is spawned before any is awaited; then one dispatcher
+    thread per replica pulls micro-batches.  At most ``compute_slots =
+    min(workers, available cores)`` replicas *execute* at once: more
+    concurrent runs than cores just timeslice against each other and
+    thrash caches, so surplus dispatchers park on a semaphore instead.
     """
 
-    def __init__(
-        self,
-        engine_factory: Callable[[], object],
-        batcher: MicroBatcher,
-        workers: int = 4,
-        fallback: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        health_probe: Optional[Callable[[], bool]] = None,
-        probe_every_batches: int = 0,
-        compute_slots: Optional[int] = None,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
+    def __init__(self, executors: Sequence[Executor], batcher: MicroBatcher,
+                 fallback: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 health_probe: Optional[Callable[[Executor], bool]] = None,
+                 probe_every_batches: int = 0, max_restarts: int = 2,
+                 telemetry: Optional[Telemetry] = None) -> None:
+        workers = len(executors)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if compute_slots is not None and compute_slots < 1:
-            raise ValueError(f"compute_slots must be >= 1, got {compute_slots}")
+        if max_restarts < 0:
+            raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         self.batcher = batcher
         self.telemetry = telemetry
-        self.compute_slots = compute_slots or min(workers, _available_cores())
+        self.compute_slots = min(workers, _available_cores())
         self._compute = threading.BoundedSemaphore(self.compute_slots)
-        trace_lock = threading.Lock()
         self.replicas = [
-            Replica(
-                index=i,
-                engine=engine_factory(),
-                fallback=fallback,
-                health_probe=health_probe,
-                probe_every_batches=probe_every_batches,
-                trace_lock=trace_lock,
-                batch_rows=batcher.batch_size,
-                telemetry=telemetry,
-            )
-            for i in range(workers)
+            Replica(i, executor, fallback, health_probe, probe_every_batches,
+                    max_restarts, telemetry)
+            for i, executor in enumerate(executors)
         ]
         if telemetry is not None:
-            telemetry.registry.gauge(
-                "serve_pool_workers", help="Replica workers in the pool",
-            ).set(workers)
-            telemetry.registry.gauge(
-                "serve_compute_slots",
-                help="Replicas allowed to execute concurrently",
-            ).set(self.compute_slots)
-        # Guards the start/close lifecycle state below.  Worker threads
-        # never take it, so joining them while holding it cannot deadlock.
+            registry = telemetry.registry
+            registry.gauge("serve_pool_workers", help="Replica workers in the pool").set(workers)
+            registry.gauge("serve_compute_slots",
+                           help="Replicas allowed to execute concurrently").set(self.compute_slots)
+            self._obs_processes = registry.gauge(
+                "serve_pool_processes",
+                help="Worker processes backing the pool (0 = thread pool)")
+        # Guards the lifecycle state below.  Dispatcher threads never take
+        # it, so joining them while holding it cannot deadlock.
         self._lifecycle_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
+        self._spawned = False
         self._started = False
+        self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
+    def _spawn_locked(self) -> None:
+        """Start every executor, then await them all (idempotent); on a
+        failure every executor is stopped before it is raised."""
+        if self._closed:
+            raise ServerClosed("replica pool is closed")
+        if self._spawned:
+            return
+        executors = [replica.executor for replica in self.replicas]
+        try:
+            for executor in executors:
+                executor.spawn()
+            for executor in executors:
+                executor.await_ready()
+        except BaseException:
+            for executor in executors:
+                executor.stop()
+            raise
+        self._spawned = True
+        if self.telemetry is not None:
+            self._obs_processes.set(len(self.worker_pids()))
+
     def start(self) -> None:
-        """Spawn one daemon worker thread per replica (idempotent)."""
+        """Start the executors and one dispatcher thread per replica
+        (idempotent; raises :class:`ServerClosed` after :meth:`close`)."""
         with self._lifecycle_lock:
             if self._started:
                 return
+            self._spawn_locked()
             self._started = True
             for replica in self.replicas:
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    args=(replica,),
-                    name=f"repro-serve-replica-{replica.index}",
-                    daemon=True,
-                )
+                thread = threading.Thread(target=self._dispatch_loop, args=(replica,),
+                                          name=f"repro-serve-replica-{replica.index}",
+                                          daemon=True)
                 self._threads.append(thread)
                 thread.start()
 
     def warmup(self, sample: np.ndarray) -> None:
-        """Trace every replica's plan before serving traffic."""
-        for replica in self.replicas:
-            replica.warmup(sample)
+        """Trace every replica's plan before serving traffic, submitting
+        ``sample`` to every executor before awaiting any.  In-process engines
+        trace in the calling thread: a short-lived thread would keep its
+        malloc arena and raise the process's peak memory."""
+        with self._lifecycle_lock:
+            self._spawn_locked()
+        for wait in [replica.executor.submit(sample) for replica in self.replicas]:
+            wait()
 
-    def _worker_loop(self, replica: Replica) -> None:
+    def _dispatch_loop(self, replica: Replica) -> None:
         while True:
-            # The compute slot is taken *before* pulling: surplus workers
-            # (workers > slots) park on the semaphore fully idle instead
-            # of forming batches that then wait on compute — on an
-            # oversubscribed host that churn steals the GIL from the
-            # replica actually running.
+            # The compute slot is taken *before* pulling: surplus
+            # dispatchers (workers > slots) park on the semaphore fully
+            # idle instead of forming batches that then wait on compute —
+            # on an oversubscribed host that churn steals the GIL from
+            # the replica actually running.
             with self._compute:
                 batch = self.batcher.next_batch()
                 if batch is None:  # queue closed and drained
@@ -349,14 +417,12 @@ class ReplicaPool:
     def close(self, drain: bool = True, timeout: float = 30.0) -> None:
         """Stop the pool; with ``drain`` the queue is flushed first.
 
-        The queue is closed *before* the no-drain failure sweep: closing
-        first means a submit racing with ``close`` either lands before
-        the close (and is failed by the sweep) or is rejected with
-        :class:`ServerClosed` at admission — it can never slip in after
-        the sweep and be served against ``drain=False`` semantics.
-        Idempotent and safe to call concurrently; worker threads release
-        their compute slot exactly once on exit regardless of whether a
-        health probe was in flight when the queue closed.
+        The queue is closed *before* the no-drain failure sweep, so a
+        racing submit either lands before the close (and is failed by the
+        sweep) or is rejected with :class:`ServerClosed` at admission.
+        Then dispatchers drain and exit, and only then do the executors
+        stop, never under an in-flight batch.  Idempotent and safe to call
+        concurrently; dispatchers release their compute slot exactly once.
         """
         queue = self.batcher.queue
         queue.close()
@@ -370,32 +436,34 @@ class ReplicaPool:
                     ServerClosed("server closed without draining")
                 )
         with self._lifecycle_lock:
-            threads, self._threads = self._threads, []
+            self._closed = True
+            for thread in self._threads:
+                thread.join(timeout)
+            self._threads = []
             self._started = False
-        for thread in threads:
-            thread.join(timeout)
+            for replica in self.replicas:
+                replica.executor.stop()
 
     # -- observability ------------------------------------------------------
+    def worker_pids(self) -> List[int]:
+        """Pids of the worker processes behind the replicas (an in-process
+        executor has none)."""
+        return [replica.executor.pid for replica in self.replicas
+                if replica.executor.pid is not None]
+
     def stats(self) -> PoolStats:
         """Aggregate counters across replicas (point-in-time snapshot)."""
-        aggregate = PoolStats(workers=len(self.replicas))
-        for replica in self.replicas:
-            stats = replica.stats
-            aggregate.batches += stats.batches
-            aggregate.rows += stats.rows
-            aggregate.fallback_batches += stats.fallback_batches
-            aggregate.engine_failures += stats.engine_failures
-            aggregate.degraded_replicas += int(stats.degraded)
-            detail = {
-                "index": replica.index,
-                "batches": stats.batches,
-                "rows": stats.rows,
-                "fallback_batches": stats.fallback_batches,
-                "engine_failures": stats.engine_failures,
-                "probes_run": stats.probes_run,
-                "probes_failed": stats.probes_failed,
-                "degraded": stats.degraded,
-                "backend": getattr(replica.engine, "active_backend", "unknown"),
-            }
-            aggregate.replicas.append(detail)
-        return aggregate
+        replicas = [{
+            "index": replica.index,
+            "pid": replica.executor.pid,
+            "alive": replica.executor.alive(),
+            **asdict(replica.stats),
+            "backend": getattr(replica.engine, "active_backend", "unknown"),
+        } for replica in self.replicas]
+
+        def total(key: str) -> int:
+            return sum(int(detail[key]) for detail in replicas)
+
+        return PoolStats(len(replicas), total("batches"), total("rows"),
+                         total("fallback_batches"), total("engine_failures"),
+                         total("degraded"), replicas)

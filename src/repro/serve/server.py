@@ -3,12 +3,14 @@
 Composes the serving layer end to end::
 
     callers ──submit──▶ AdmissionQueue ──▶ MicroBatcher ──▶ ReplicaPool
-                 │  (bounded, deadlines)   (drain queued     │ (N engines)
-                 │                          ≤ batch_size)    ├─▶ InferenceEngine
-                 ◀──────────── ServeFuture ◀─ scatter ───────┴─▶ guard fallback
+                 │  (bounded, deadlines)   (drain queued     │ (one replica per executor)
+                 │                          ≤ batch_size)    ├─▶ EngineExecutor | ProcessWorker
+                 ◀──────────── ServeFuture ◀─ scatter ───────┴─▶ fallback (degraded replicas)
 
-A server is built from an *engine factory* so each replica owns its own
-compiled plan and buffer pool; the usual entry points are
+The server chooses each replica's executor: an in-process engine from
+``engine_factory`` (``pool="thread"``) or a worker process rebuilt from
+``worker_spec`` (``pool="process"``); either way each replica owns its
+own compiled plan and buffer pool.  The usual entry points are
 :func:`repro.core.deployment.make_model_server` (software deployments)
 and :meth:`repro.snc.system.SpikingSystem.serve` (hardware twins with a
 guarded fallback).
@@ -32,8 +34,10 @@ import numpy as np
 
 from repro.obs import SYSTEM_CLOCK, Telemetry
 from repro.serve.batcher import MicroBatcher
-from repro.serve.pool import ReplicaPool
+from repro.serve.pool import ReplicaPool, engine_executors
+from repro.serve.procpool import LocalTwin, ProcessWorker
 from repro.serve.queue import AdmissionQueue, ServeFuture
+from repro.serve.shm import SlabAllocator
 
 __all__ = ["ServeConfig", "ModelServer", "LatencyWindow"]
 
@@ -45,7 +49,8 @@ class ServeConfig:
     Attributes
     ----------
     workers:
-        Replica count (one engine + one thread each).
+        Replica count (one engine + one dispatcher thread each); at
+        most ``min(workers, available cores)`` of them execute at once.
     batch_size:
         Micro-batch row cap.  An idle replica takes the first queued
         request and whatever else is queued up to this many rows, then
@@ -58,26 +63,19 @@ class ServeConfig:
         Deadline applied to requests that do not carry their own;
         ``None`` means queued requests never expire.
     probe_every_batches:
-        Per-replica health-probe cadence (``0`` = never probe).
-    compute_slots:
-        Max replicas *executing* simultaneously; ``None`` defaults to
-        ``min(workers, available cores)`` so oversubscribed hosts do
-        not timeslice engine runs against each other.
+        Per-replica health-probe cadence (``0`` = never probe); worker
+        processes are probed with fixed probe vectors.
     latency_window:
         How many recent request latencies the server retains for
         percentile stats (bounded ring buffer).
     pool:
-        ``"thread"`` (default) keeps replicas in-process;
-        ``"process"`` moves each replica into its own worker process
+        The replicas' executor: ``"thread"`` (default) runs each engine
+        in-process; ``"process"`` runs each in its own worker process
         with shared-memory tensor transport (requires a ``worker_spec``
         — see :func:`repro.core.deployment.make_model_server`).
-    mp_start_method:
-        Start method for process-pool workers.  ``"spawn"`` (default)
-        is safe alongside threads and BLAS pools; ``"fork"`` starts
-        faster but inherits the parent's locks.
     max_restarts:
-        Times a dead worker process is respawned before it demotes to
-        the in-process fallback (process pool only).
+        Times a replica's dead worker process is respawned before the
+        replica degrades to its fallback.
     worker_timeout_s:
         Per-batch reply budget for a worker process; a worker that
         stalls past it is killed and treated as dead.
@@ -88,10 +86,8 @@ class ServeConfig:
     max_queue_rows: int = 4096
     default_deadline_ms: Optional[float] = None
     probe_every_batches: int = 0
-    compute_slots: Optional[int] = None
     latency_window: int = 4096
     pool: str = "thread"
-    mp_start_method: str = "spawn"
     max_restarts: int = 2
     worker_timeout_s: float = 60.0
 
@@ -116,8 +112,6 @@ class ServeConfig:
             raise ValueError(
                 f"default_deadline_ms must be positive, got {self.default_deadline_ms}"
             )
-        if self.compute_slots is not None and self.compute_slots < 1:
-            raise ValueError(f"compute_slots must be >= 1, got {self.compute_slots}")
         if self.latency_window < 1:
             raise ValueError(f"latency_window must be >= 1, got {self.latency_window}")
 
@@ -167,13 +161,12 @@ class ModelServer:
         worker_spec=None,
     ) -> None:
         self.config = config or ServeConfig()
-        if self.config.pool == "process":
-            if worker_spec is None:
-                raise ValueError(
-                    "pool='process' needs a worker_spec (WorkerSpec); build "
-                    "the server via repro.core.deployment.make_model_server"
-                )
-        elif engine_factory is None:
+        if self.config.pool == "process" and worker_spec is None:
+            raise ValueError(
+                "pool='process' needs a worker_spec (WorkerSpec); build "
+                "the server via repro.core.deployment.make_model_server"
+            )
+        if self.config.pool == "thread" and engine_factory is None:
             raise ValueError("pool='thread' needs an engine_factory")
         self.telemetry = telemetry
         # One clock drives queue, batcher, and latency accounting (RL005:
@@ -194,35 +187,23 @@ class ModelServer:
             clock=clock,
             telemetry=telemetry,
         )
+        workers = self.config.workers
+        #: the process pool's slab allocator, unlinked after the pool stops.
+        self.allocator = None
         if self.config.pool == "process":
-            # Imported here so thread-pool servers never touch
-            # multiprocessing (keeps fork-safety concerns out of the
-            # default path).
-            from repro.serve.procpool import ProcessReplicaPool
-
-            self.pool = ProcessReplicaPool(
-                worker_spec,
-                self.batcher,
-                workers=self.config.workers,
-                fallback=fallback,
-                probe_every_batches=self.config.probe_every_batches,
-                max_restarts=self.config.max_restarts,
-                worker_timeout_s=self.config.worker_timeout_s,
-                mp_start_method=self.config.mp_start_method,
-                telemetry=telemetry,
-                clock=clock,
-            )
+            self.allocator = SlabAllocator(slab_bytes=8 << 20, max_slabs=max(2 * workers, 4),
+                                           telemetry=telemetry)
+            executors = [ProcessWorker(i, worker_spec, self.allocator, self.config.worker_timeout_s,
+                                       clock) for i in range(workers)]
+            twin = LocalTwin(worker_spec, warmup_images)
+            fallback = twin if fallback is None else fallback
+            probe = twin.probe
         else:
-            self.pool = ReplicaPool(
-                engine_factory,
-                self.batcher,
-                workers=self.config.workers,
-                fallback=fallback,
-                health_probe=health_probe,
-                probe_every_batches=self.config.probe_every_batches,
-                compute_slots=self.config.compute_slots,
-                telemetry=telemetry,
-            )
+            executors = engine_executors(engine_factory, workers, self.config.batch_size)
+            probe = None if health_probe is None else (lambda _executor: health_probe())
+        self.pool = ReplicaPool(executors, self.batcher, fallback, probe,
+                                self.config.probe_every_batches, self.config.max_restarts,
+                                telemetry)
         if telemetry is not None:
             registry = telemetry.registry
             self._obs_completed = registry.counter(
@@ -234,9 +215,13 @@ class ModelServer:
         self._completed = 0
         self._rejected = 0
         self._stats_lock = threading.Lock()
-        if warmup_images is not None:
-            self.pool.warmup(warmup_images)
-        self.pool.start()
+        try:
+            if warmup_images is not None:
+                self.pool.warmup(warmup_images)
+            self.pool.start()
+        except BaseException:
+            self.close(drain=False)
+            raise
 
     # -- request path -------------------------------------------------------
     def submit_async(
@@ -300,8 +285,12 @@ class ModelServer:
 
     # -- lifecycle ----------------------------------------------------------
     def close(self, drain: bool = True) -> None:
-        """Shut down; with ``drain`` every queued request is answered first."""
+        """Shut down; with ``drain`` every queued request is answered first.
+
+        The slabs are unlinked last, once every executor has stopped."""
         self.pool.close(drain=drain)
+        if self.allocator is not None:
+            self.allocator.close(force=True)
 
     def __enter__(self) -> "ModelServer":
         return self
@@ -329,8 +318,7 @@ class ModelServer:
             "degraded_replicas": pool.degraded_replicas,
             "replicas": pool.replicas,
         }
-        shm_stats = getattr(self.pool, "shm_stats", None)
-        if shm_stats is not None:  # process pool: slab/lease accounting
-            stats["shm"] = shm_stats()
+        if self.allocator is not None:  # process pool: slab/lease accounting
+            stats["shm"] = self.allocator.stats()
         stats.update(self.latencies.percentiles())
         return stats

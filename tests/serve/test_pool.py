@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 from repro.obs.clock import FakeClock
+from repro.serve import pool as pool_module
 from repro.serve.batcher import MicroBatcher
-from repro.serve.pool import Replica, ReplicaPool
+from repro.serve.pool import (
+    EngineExecutor,
+    Executor,
+    Replica,
+    ReplicaPool,
+    WorkerDied,
+    engine_executors,
+)
 from repro.serve.queue import AdmissionQueue, ServerClosed
+from tests.serve.pool_contract import PoolContract
 
 
 def logits_of(images):
@@ -33,6 +42,10 @@ class FakeEngine:
         return logits_of(images)
 
 
+def local(engine, batch_rows=128):
+    return EngineExecutor(engine, batch_rows=batch_rows)
+
+
 def make_batch(queue_rows=4096, sizes=(3,), batch_size=None, tag0=1):
     queue = AdmissionQueue(max_rows=queue_rows)
     requests = [
@@ -48,7 +61,7 @@ def make_batch(queue_rows=4096, sizes=(3,), batch_size=None, tag0=1):
 class TestReplicaServing:
     def test_serves_bit_exact_per_request(self):
         batch, requests = make_batch(sizes=(2, 3))
-        replica = Replica(index=0, engine=FakeEngine(), batch_rows=8)
+        replica = Replica(index=0, executor=local(FakeEngine(), batch_rows=8))
         replica.serve(batch)
         for request in requests:
             np.testing.assert_array_equal(
@@ -60,7 +73,7 @@ class TestReplicaServing:
     def test_engine_sees_exact_row_counts(self):
         """Every batch runs at its own row count: nothing is padded."""
         engine = FakeEngine()
-        replica = Replica(index=0, engine=engine, batch_rows=16)
+        replica = Replica(index=0, executor=local(engine, batch_rows=16))
         for rows in (1, 3, 5, 8, 11, 16):
             batch, requests = make_batch(sizes=(rows,))
             replica.serve(batch)
@@ -72,7 +85,7 @@ class TestReplicaServing:
         """Only a request larger than ``batch_rows`` is split, into
         ``batch_rows`` chunks plus its exact remainder."""
         engine = FakeEngine()
-        replica = Replica(index=0, engine=engine, batch_rows=16)
+        replica = Replica(index=0, executor=local(engine, batch_rows=16))
         batch, requests = make_batch(sizes=(37,))
         replica.serve(batch)
         assert [shape[0] for shape in engine.calls] == [16, 16, 5]
@@ -81,14 +94,14 @@ class TestReplicaServing:
 
     def test_batch_rows_validated(self):
         with pytest.raises(ValueError):
-            Replica(index=0, engine=FakeEngine(), batch_rows=0)
+            local(FakeEngine(), batch_rows=0)
 
 
 class TestReplicaFailures:
     def test_engine_failure_falls_back(self):
         batch, requests = make_batch(sizes=(2,))
         replica = Replica(
-            index=0, engine=FakeEngine(fail_times=1), fallback=logits_of
+            index=0, executor=local(FakeEngine(fail_times=1)), fallback=logits_of
         )
         replica.serve(batch)
         np.testing.assert_array_equal(
@@ -100,14 +113,14 @@ class TestReplicaFailures:
 
     def test_engine_failure_without_fallback_fails_batch(self):
         batch, requests = make_batch(sizes=(2,))
-        replica = Replica(index=0, engine=FakeEngine(fail_times=1))
+        replica = Replica(index=0, executor=local(FakeEngine(fail_times=1)))
         replica.serve(batch)
         with pytest.raises(RuntimeError, match="engine exploded"):
             requests[0].future.result(0)
 
     def test_repeated_failures_trip_degraded_mode(self):
         engine = FakeEngine(fail_times=Replica.MAX_CONSECUTIVE_FAILURES)
-        replica = Replica(index=0, engine=engine, fallback=logits_of)
+        replica = Replica(index=0, executor=local(engine), fallback=logits_of)
         for _ in range(Replica.MAX_CONSECUTIVE_FAILURES):
             batch, _ = make_batch(sizes=(1,))
             replica.serve(batch)
@@ -121,7 +134,7 @@ class TestReplicaFailures:
 
     def test_success_resets_consecutive_failures(self):
         engine = FakeEngine(fail_times=1)
-        replica = Replica(index=0, engine=engine, fallback=logits_of)
+        replica = Replica(index=0, executor=local(engine), fallback=logits_of)
         for _ in range(4):  # fail, ok, ok, ok — never trips
             batch, _ = make_batch(sizes=(1,))
             replica.serve(batch)
@@ -130,9 +143,9 @@ class TestReplicaFailures:
     def test_failed_probe_trips_degraded(self):
         replica = Replica(
             index=0,
-            engine=FakeEngine(),
+            executor=local(FakeEngine()),
             fallback=logits_of,
-            health_probe=lambda: False,
+            health_probe=lambda executor: False,
             probe_every_batches=1,
         )
         batch, requests = make_batch(sizes=(1,))
@@ -143,71 +156,101 @@ class TestReplicaFailures:
         assert requests[0].future.done()
 
     def test_probe_exception_counts_as_failure(self):
-        def bad_probe():
+        def bad_probe(executor):
             raise RuntimeError("probe crashed")
 
-        replica = Replica(index=0, engine=FakeEngine(), health_probe=bad_probe)
+        replica = Replica(index=0, executor=local(FakeEngine()),
+                          health_probe=bad_probe)
         assert replica.run_probe() is False
         assert replica.stats.degraded
 
 
-class TestPoolLifecycle:
-    def _pool(self, workers=2, **kwargs):
-        queue = AdmissionQueue(max_rows=4096)
-        batcher = MicroBatcher(queue, batch_size=8)
-        pool = ReplicaPool(FakeEngine, batcher, workers=workers, **kwargs)
-        return queue, pool
+class DyingExecutor(Executor):
+    """Dies on its next ``deaths`` runs; every restart succeeds."""
 
-    def test_drain_close_answers_queued_requests(self):
-        queue, pool = self._pool()
-        requests = [queue.submit(np.full((2, 4), float(i))) for i in range(6)]
-        pool.start()
-        pool.close(drain=True)
+    def __init__(self, deaths=0):
+        self.deaths = deaths
+        self.runs = 0
+        self.restarts = 0
+
+    def run_rows(self, images):
+        self.runs += 1
+        if self.deaths > 0:
+            self.deaths -= 1
+            raise WorkerDied("worker exited mid-batch")
+        return logits_of(images)
+
+    def restart(self):
+        self.restarts += 1
+        return True
+
+
+class TestRetryRule:
+    def test_dead_executor_is_restarted_then_demoted_past_budget(self):
+        """One death: restart, the batch retried once and answered once.
+        A death past ``max_restarts``: the replica demotes to its fallback."""
+        executor = DyingExecutor(deaths=1)
+        replica = Replica(index=0, executor=executor, fallback=logits_of,
+                          max_restarts=1)
+        batch, requests = make_batch(sizes=(2, 1))
+        answers, scatter = [], batch.scatter
+
+        def counted_scatter(logits):
+            answers.append(len(logits))
+            scatter(logits)
+
+        batch.scatter = counted_scatter
+        replica.serve(batch)
+        assert answers == [3]
         for request in requests:
             np.testing.assert_array_equal(
-                request.future.result(5.0), logits_of(request.images)
-            )
+                request.future.result(0), logits_of(request.images))
+        assert executor.runs == 2 and executor.restarts == 1
+        assert replica.stats.restarts == 1
+        assert not replica.stats.degraded
+        assert replica.stats.fallback_batches == 0
 
-    def test_non_drain_close_fails_queued_with_server_closed(self):
-        queue, pool = self._pool()
-        # Workers never started: everything submitted stays queued.
-        requests = [queue.submit(np.full((2, 4), 1.0)) for _ in range(3)]
-        pool.close(drain=False)
-        for request in requests:
-            with pytest.raises(ServerClosed):
-                request.future.result(0)
+        executor.deaths = 1
+        batch, requests = make_batch(sizes=(2,))
+        replica.serve(batch)
+        np.testing.assert_array_equal(
+            requests[0].future.result(0), logits_of(requests[0].images))
+        assert executor.restarts == 1  # the budget is spent: no restart
+        assert replica.stats.restarts == 1
+        assert replica.stats.degraded
+        assert replica.stats.fallback_batches == 1
+        assert replica.stats.engine_failures == 0  # death is not a compute error
 
-    def test_close_is_idempotent_and_start_after_close_is_safe(self):
-        _, pool = self._pool()
-        pool.start()
-        pool.close()
-        pool.close()
+    def test_dead_probe_target_is_restarted_and_probed_again(self):
+        executor = DyingExecutor(deaths=1)
+        replica = Replica(
+            index=0, executor=executor, max_restarts=1,
+            health_probe=lambda target: target.run_rows(np.ones((1, 4))) is not None,
+        )
+        assert replica.run_probe() is True
+        assert replica.stats.restarts == 1
+        assert not replica.stats.degraded
+
+
+class TestPoolLifecycle(PoolContract):
+    backend = "fake"
+    row_shape = (4,)
+
+    def _pool(self, workers=2):
+        queue = AdmissionQueue(max_rows=4096)
+        batcher = MicroBatcher(queue, batch_size=8)
+        return queue, ReplicaPool(engine_executors(FakeEngine, workers, 8), batcher)
+
+    def _expected(self, images):
+        return logits_of(images)
 
     def test_compute_slots_never_exceed_workers(self):
         _, pool = self._pool(workers=2)
         assert 1 <= pool.compute_slots <= 2
 
-    def test_explicit_compute_slots_validated(self):
-        with pytest.raises(ValueError):
-            self._pool(workers=2, compute_slots=0)
-
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             self._pool(workers=0)
-
-    def test_stats_aggregate_across_replicas(self):
-        queue, pool = self._pool(workers=2)
-        pool.start()
-        requests = [queue.submit(np.full((4, 4), float(i))) for i in range(4)]
-        for request in requests:
-            request.future.result(5.0)
-        pool.close()
-        stats = pool.stats()
-        assert stats.workers == 2
-        assert stats.rows == 16
-        assert stats.degraded_replicas == 0
-        assert len(stats.replicas) == 2
-        assert {r["backend"] for r in stats.replicas} == {"fake"}
 
 
 class RecordingBatcher(MicroBatcher):
@@ -225,7 +268,7 @@ class RecordingBatcher(MicroBatcher):
 
 
 class TestWorkConservingBatching:
-    def test_burst_fills_batches_while_every_replica_is_busy(self):
+    def test_burst_fills_batches_while_every_replica_is_busy(self, monkeypatch):
         """Open-loop burst: with every replica stuck in its engine, single-
         row requests pile up; once released, each batch drains exactly
         ``batch_size`` rows — coalescing needs no wait budget."""
@@ -239,10 +282,11 @@ class TestWorkConservingBatching:
                 release.wait(10.0)
                 return super().run(images)
 
+        # Every replica computes at once, even on a 1-core host.
+        monkeypatch.setattr(pool_module, "_available_cores", lambda: workers)
         queue = AdmissionQueue(max_rows=4096)
         batcher = RecordingBatcher(queue, batch_size=batch_size)
-        pool = ReplicaPool(GatedEngine, batcher, workers=workers,
-                           compute_slots=workers)
+        pool = ReplicaPool(engine_executors(GatedEngine, workers, batch_size), batcher)
         pool.start()
         try:
             # Occupy the replicas one at a time, so each holds one request.
@@ -270,7 +314,7 @@ class TestWorkConservingBatching:
         clock = FakeClock(start=7.0)
         queue = AdmissionQueue(max_rows=4096, clock=clock)
         batcher = RecordingBatcher(queue, batch_size=8, clock=clock)
-        pool = ReplicaPool(FakeEngine, batcher, workers=2)
+        pool = ReplicaPool(engine_executors(FakeEngine, 2, 8), batcher)
         pool.start()
         try:
             request = queue.submit(np.full((1, 4), 3.0))
@@ -287,7 +331,8 @@ class TestCloseRaces:
     """Regression tests: close() overlapping an in-flight probe or a
     racing submit must leave the semaphore and queue state consistent."""
 
-    def test_close_during_in_flight_probe_keeps_semaphore_consistent(self):
+    def test_close_during_in_flight_probe_keeps_semaphore_consistent(
+            self, monkeypatch):
         """close() while a worker sits inside its health probe must not
         double-release the compute-slot semaphore: after close, exactly
         ``compute_slots`` slots are acquirable — no more, no fewer — and
@@ -296,7 +341,7 @@ class TestCloseRaces:
         probe_entered = threading.Event()
         probe_release = threading.Event()
 
-        def slow_probe():
+        def slow_probe(executor):
             # FakeClock-driven probe timing: the probe "takes" 5 clock
             # seconds and blocks until the test lets it finish, so
             # close() is guaranteed to overlap it.
@@ -305,10 +350,11 @@ class TestCloseRaces:
             probe_release.wait(10.0)
             return True
 
+        monkeypatch.setattr(pool_module, "_available_cores", lambda: 2)
         queue = AdmissionQueue(max_rows=4096, clock=clock)
         batcher = MicroBatcher(queue, batch_size=8, clock=clock)
         pool = ReplicaPool(
-            FakeEngine, batcher, workers=2, compute_slots=2,
+            engine_executors(FakeEngine, 2, 8), batcher,
             health_probe=slow_probe, probe_every_batches=1,
         )
         worker_errors = []
@@ -371,7 +417,7 @@ class TestCloseRaces:
 
 
 class TestTraceSerialization:
-    def test_planless_engines_trace_one_at_a_time(self):
+    def test_planless_engines_trace_one_at_a_time(self, monkeypatch):
         """While engine.plan is None, runs hold the shared trace lock."""
 
         class PlanlessEngine(FakeEngine):
@@ -394,11 +440,10 @@ class TestTraceSerialization:
                     with cls.gate:
                         cls.concurrent -= 1
 
+        monkeypatch.setattr(pool_module, "_available_cores", lambda: 4)
         queue = AdmissionQueue(max_rows=4096)
         batcher = MicroBatcher(queue, batch_size=4)
-        pool = ReplicaPool(
-            PlanlessEngine, batcher, workers=4, compute_slots=4
-        )
+        pool = ReplicaPool(engine_executors(PlanlessEngine, 4, 4), batcher)
         pool.start()
         requests = [queue.submit(np.full((4, 4), float(i))) for i in range(12)]
         for request in requests:

@@ -1,8 +1,8 @@
-"""Process-pool behaviour: transport, health, chaos, ordering.
+"""Worker-process executors: transport, health, chaos, ordering.
 
 The cross-model × kernel-variant bit-exactness matrix lives in
 ``tests/integration/test_process_conformance.py``; this module covers
-the pool's *machinery* on one small deployed LeNet:
+the process executor's *machinery* on one small deployed LeNet:
 
 - :class:`WorkerSpec` pickling reproduces the engine bit-exactly,
 - scatter/gather returns arrival-order logits for arbitrary interleaved
@@ -11,7 +11,9 @@ the pool's *machinery* on one small deployed LeNet:
   fault_schedule`) mid-stream: every response arrives exactly once,
   bit-exact, and zero shared-memory segments survive the drain,
 - a worker past its restart budget demotes to the in-process fallback
-  instead of failing requests.
+  instead of failing requests,
+- the pool lifecycle contract of ``tests/serve/pool_contract.py``, run
+  over worker processes.
 
 Worker processes cost ~1 s each to spawn (start method ``spawn``), so
 servers here are module-scoped where the test semantics allow it.
@@ -35,11 +37,13 @@ from repro.core.deployment import (
 from repro.flow.chaos import fault_schedule
 from repro.models.registry import build_model
 from repro.obs import Telemetry
-from repro.serve import ServeConfig, ServerClosed, WorkerSpec
+from repro.serve import ServeConfig, WorkerSpec
 from repro.serve.batcher import MicroBatcher
-from repro.serve.procpool import ProcessReplicaPool, ProcessWorker, WorkerDied
+from repro.serve.pool import ReplicaPool
+from repro.serve.procpool import ProcessWorker, WorkerDied
 from repro.serve.queue import AdmissionQueue
-from repro.serve.shm import active_segment_names
+from repro.serve.shm import SlabAllocator, active_segment_names
+from tests.serve.pool_contract import PoolContract
 
 BATCH_ROWS = 8
 
@@ -86,8 +90,8 @@ class TestWorkerSpec:
         reference = make_inference_engine(deployed, dtype=np.float64).run(images)
         spec = WorkerSpec.for_module(deployed, batch_rows=BATCH_ROWS,
                                      dtype=np.float64)
-        replica = spec.build_replica()
-        assert np.array_equal(replica.run_rows(images), reference)
+        executor = spec.build_executor()
+        assert np.array_equal(executor.run_rows(images), reference)
 
     def test_spec_config_validation(self):
         with pytest.raises(ValueError):
@@ -241,27 +245,44 @@ class TestHealth:
             assert replica["probes_run"] >= 1
             assert replica["probes_failed"] == 0
             assert not replica["degraded"]
+            # Server-level keys a process server adds to the thread set.
+            assert stats["compute_slots"] >= 1 and "shm" in stats
         finally:
             server.close()
+            server.close()  # idempotent; the leak guard checks the slabs
 
 
-class TestLifecycle:
-    def test_close_without_drain_fails_queued_requests(self, deployed_lenet):
-        deployed, images = deployed_lenet
-        server = _process_server(deployed, images)
-        server.close(drain=False)
-        with pytest.raises(ServerClosed):
-            server.submit(images[:2])
+class TestLifecycle(PoolContract):
+    backend = "process"
 
-    def test_failed_ready_stops_every_spawned_worker(self, deployed_lenet,
-                                                      monkeypatch):
+    @pytest.fixture(autouse=True)
+    def _lenet(self, deployed_lenet):
+        self.deployed, images = deployed_lenet
+        self.row_shape = images.shape[1:]
+        self.allocators = []
+        yield
+        # The server unlinks its slabs once the pool has stopped; so here.
+        for allocator in self.allocators:
+            allocator.close(force=True)
+
+    def _pool(self, workers=2):
+        spec = WorkerSpec.for_module(self.deployed, batch_rows=BATCH_ROWS,
+                                     dtype=np.float64)
+        allocator = SlabAllocator(slab_bytes=1 << 20, max_slabs=4)
+        self.allocators.append(allocator)
+        queue = AdmissionQueue(max_rows=4096)
+        batcher = MicroBatcher(queue, batch_size=BATCH_ROWS)
+        executors = [ProcessWorker(i, spec, allocator) for i in range(workers)]
+        return queue, ReplicaPool(executors, batcher)
+
+    def _expected(self, images):
+        return make_inference_engine(self.deployed, dtype=np.float64).run(images)
+
+    def test_failed_ready_stops_every_spawned_worker(self, monkeypatch):
         """Workers spawn together; when one never reports ready, the pool
         stops and reaps all of them before raising (the autouse leak
         guard checks that no process, ring or thread survives)."""
-        deployed, _ = deployed_lenet
-        spec = WorkerSpec.for_module(deployed, batch_rows=BATCH_ROWS)
-        batcher = MicroBatcher(AdmissionQueue(max_rows=64), batch_size=BATCH_ROWS)
-        pool = ProcessReplicaPool(spec, batcher, workers=2)
+        _, pool = self._pool(workers=2)
         spawned = []
         original = ProcessWorker.await_ready
 
@@ -280,25 +301,3 @@ class TestLifecycle:
         assert len(spawned) == 2
         assert not any(process.is_alive() for process in spawned)
         assert pool.worker_pids() == []
-
-    def test_close_is_idempotent(self, deployed_lenet):
-        deployed, images = deployed_lenet
-        baseline = set(active_segment_names())
-        server = _process_server(deployed, images)
-        server.close()
-        server.close()
-        assert set(active_segment_names()) <= baseline
-
-    def test_stats_shape_matches_thread_pool(self, deployed_lenet):
-        deployed, images = deployed_lenet
-        server = _process_server(deployed, images)
-        try:
-            server.submit(images[:4], timeout=60.0)
-            stats = server.stats()
-            for key in ("completed_requests", "queue", "workers", "batches",
-                        "rows", "fallback_batches", "degraded_replicas",
-                        "replicas", "compute_slots", "shm"):
-                assert key in stats, f"missing stats key {key}"
-            assert stats["replicas"][0]["backend"] == "process"
-        finally:
-            server.close()

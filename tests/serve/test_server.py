@@ -68,7 +68,6 @@ class TestConfigValidation:
         {"batch_size": 0},
         {"max_queue_rows": 0},
         {"default_deadline_ms": 0.0},
-        {"compute_slots": 0},
         {"latency_window": 0},
         {"worker_timeout_s": 0.0},
     ])

@@ -678,20 +678,25 @@ class TestLockDisciplineRule:
 
     def test_actual_contract_files_are_clean(self):
         src = Path(__file__).resolve().parents[1] / "src" / "repro"
-        targets = [src / "runtime" / "guard.py", src / "serve" / "pool.py",
-                   src / "serve" / "procpool.py"]
+        targets = [src / "runtime" / "guard.py", src / "serve" / "pool.py"]
         findings = [f for f in lint_repro.lint_paths(targets)
                     if f.rule == "RL007"]
         assert findings == []
 
     def test_procpool_contract_unlocked_workers_is_rl007(self, tmp_path):
-        f = _write(tmp_path / "serve" / "procpool.py", """
+        """Worker-process lifecycle state now lives in the one pool
+        contract: spawning and closing outside the lock fire there, and
+        serve/procpool.py carries no contract of its own."""
+        body = """
             class Pool:
                 def close(self):
-                    self._workers = []
+                    self._spawned = False
                     self._closed = True
-        """)
-        assert _rules(lint_repro.lint_paths([f])) == ["RL007", "RL007"]
+        """
+        pool = _write(tmp_path / "serve" / "pool.py", body)
+        assert _rules(lint_repro.lint_paths([pool])) == ["RL007", "RL007"]
+        procpool = _write(tmp_path / "serve" / "procpool.py", body)
+        assert lint_repro.lint_paths([procpool]) == []
 
 
 class TestShmExclusivityRule:

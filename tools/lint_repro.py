@@ -61,9 +61,10 @@ Rules
     :func:`repro.serve.shm.attach_segment`, allocate via
     :class:`repro.serve.shm.SlabAllocator`.
 ``RL007`` — lock discipline for the concurrency-critical classes in
-    ``runtime/guard.py`` and ``serve/pool.py``.  Each file declares a
-    contract (lock attribute + the shared attributes it protects) in
-    ``LOCK_CONTRACTS``; any method that assigns one of those attributes,
+    ``runtime/guard.py`` (probe and counter state) and ``serve/pool.py``
+    (the replica pool's lifecycle state, one contract for every executor
+    kind).  Each file declares a contract (lock attribute + the shared
+    attributes it protects) in ``LOCK_CONTRACTS``; any method that assigns one of those attributes,
     or calls a mutating container method on one (``append``/``update``/
     ``pop``…), must do so lexically inside ``with self.<lock>``.
     ``__init__`` is exempt (no concurrent callers exist yet), as are
@@ -132,9 +133,8 @@ LOCK_CONTRACTS = {
     "runtime/guard.py": ("_lock", frozenset({
         "counters", "health_log", "last_report", "_requests_since_probe",
     })),
-    "serve/pool.py": ("_lifecycle_lock", frozenset({"_threads", "_started"})),
-    "serve/procpool.py": ("_lifecycle_lock", frozenset({
-        "_dispatchers", "_started", "_closed", "_workers",
+    "serve/pool.py": ("_lifecycle_lock", frozenset({
+        "_threads", "_spawned", "_started", "_closed",
     })),
 }
 
