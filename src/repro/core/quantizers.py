@@ -120,6 +120,10 @@ class DynamicFixedPointFormat:
         return -(2 ** (self.bits - 1)) * self.step
 
 
+# The finest grid whose step 2^-FL is still a normal float64.
+_MAX_FRACTIONAL_BITS = 1022
+
+
 def fit_dynamic_fixed_point(values: np.ndarray, bits: int = 8) -> DynamicFixedPointFormat:
     """Choose the fractional length covering ``max(|values|)``.
 
@@ -137,6 +141,10 @@ def fit_dynamic_fixed_point(values: np.ndarray, bits: int = 8) -> DynamicFixedPo
         # Peaks exactly at a power of two exceed (2^(bits−1)−1)·step; widen
         # by one integer bit so the format genuinely covers the range.
         fmt = DynamicFixedPointFormat(bits=bits, fractional_bits=bits - integer_length - 1)
+    if fmt.fractional_bits > _MAX_FRACTIONAL_BITS:
+        # Subnormal peaks would ask for a step below the smallest normal
+        # double (2^-1022), which underflows to 0; such values round to 0.
+        fmt = DynamicFixedPointFormat(bits=bits, fractional_bits=_MAX_FRACTIONAL_BITS)
     return fmt
 
 

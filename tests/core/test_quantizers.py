@@ -163,6 +163,12 @@ class TestDynamicFixedPoint:
         with pytest.raises(ValueError):
             Q.fit_dynamic_fixed_point(np.ones(2), bits=1)
 
+    def test_fit_subnormal_peak_keeps_step_nonzero(self):
+        values = np.array([5e-324, 0.0])
+        fmt = Q.fit_dynamic_fixed_point(values, bits=8)
+        assert fmt.step > 0
+        np.testing.assert_array_equal(Q.quantize_dynamic(values, bits=8), [0.0, 0.0])
+
     def test_quantize_saturates(self):
         fmt = Q.DynamicFixedPointFormat(bits=4, fractional_bits=2)
         out = Q.quantize_dynamic_fixed_point(np.array([100.0, -100.0]), fmt)
