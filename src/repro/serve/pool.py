@@ -395,11 +395,26 @@ class ReplicaPool:
         """Trace every replica's plan before serving traffic, submitting
         ``sample`` to every executor before awaiting any.  In-process engines
         trace in the calling thread: a short-lived thread would keep its
-        malloc arena and raise the process's peak memory."""
+        malloc arena and raise the process's peak memory.
+
+        Every submitted run is awaited before the first failure is raised,
+        so no run is still in flight when the caller stops the executors.
+        """
         with self._lifecycle_lock:
             self._spawn_locked()
-        for wait in [replica.executor.submit(sample) for replica in self.replicas]:
-            wait()
+        waits, failures = [], []
+        for replica in self.replicas:
+            try:
+                waits.append(replica.executor.submit(sample))
+            except Exception as error:
+                failures.append(error)
+        for wait in waits:
+            try:
+                wait()
+            except Exception as error:
+                failures.append(error)
+        if failures:
+            raise failures[0]
 
     def _dispatch_loop(self, replica: Replica) -> None:
         while True:

@@ -52,6 +52,9 @@ __all__ = [
 #: substream token for functional probe vectors (see snc/diagnosis).
 PROBE_TOKEN = "serve.procpool.probe"
 
+#: rows of one probe batch.
+PROBE_ROWS = 4
+
 #: Start method of worker processes: ``spawn`` is safe alongside threads
 #: and BLAS pools, where ``fork`` would inherit the parent's locks.
 START_METHOD = "spawn"
@@ -333,17 +336,11 @@ class LocalTwin:
     whose workers stay healthy runs none; calls are serialized, and rows
     are cast to float64 as a worker's are, so its logits are a worker's."""
 
-    def __init__(self, spec: WorkerSpec, sample: Optional[np.ndarray] = None,
-                 probe_rows: int = 4) -> None:
-        from repro.snc.seeding import substream
-
+    def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
         self._executor: Optional[EngineExecutor] = None
         self._lock = threading.Lock()
         self.probe_images: Optional[np.ndarray] = None
-        if sample is not None:
-            shape = (probe_rows,) + tuple(np.shape(sample)[1:])
-            self.probe_images = substream(0, PROBE_TOKEN).uniform(0.0, 1.0, size=shape)
         self._expected: Optional[np.ndarray] = None
 
     def __call__(self, images: np.ndarray) -> np.ndarray:
@@ -353,14 +350,21 @@ class LocalTwin:
             return self._executor.run_rows(
                 np.ascontiguousarray(images, dtype=np.float64))
 
+    def arm(self, sample: np.ndarray) -> None:
+        """Fix the probe vectors — seeded uniform stimuli shaped like
+        ``sample``'s rows, as in :mod:`repro.snc.diagnosis` — and the
+        twin's logits of them, which a healthy worker matches bit for bit."""
+        from repro.snc.seeding import substream
+
+        shape = (PROBE_ROWS,) + tuple(np.shape(sample)[1:])
+        probe_images = substream(0, PROBE_TOKEN).uniform(0.0, 1.0, size=shape)
+        self._expected = self(probe_images)
+        self.probe_images = probe_images
+
     def probe(self, executor: Executor) -> bool:
         """Whether ``executor`` reproduces the twin's logits of the probe
-        vectors — seeded uniform stimuli shaped like ``sample``'s rows, as
-        in :mod:`repro.snc.diagnosis` — bit for bit (without a ``sample``:
-        whether it is alive)."""
+        vectors (before :meth:`arm`: whether it is alive)."""
         if self.probe_images is None:
             return executor.alive()
-        if self._expected is None:
-            self._expected = self(self.probe_images)
         return bool(np.array_equal(executor.run_rows(self.probe_images),
                                    self._expected))

@@ -195,10 +195,11 @@ class ModelServer:
                                            telemetry=telemetry)
             executors = [ProcessWorker(i, worker_spec, self.allocator, self.config.worker_timeout_s,
                                        clock) for i in range(workers)]
-            twin = LocalTwin(worker_spec, warmup_images)
+            twin = LocalTwin(worker_spec)
             fallback = twin if fallback is None else fallback
             probe = twin.probe
         else:
+            twin = None
             executors = engine_executors(engine_factory, workers, self.config.batch_size)
             probe = None if health_probe is None else (lambda _executor: health_probe())
         self.pool = ReplicaPool(executors, self.batcher, fallback, probe,
@@ -218,6 +219,8 @@ class ModelServer:
         try:
             if warmup_images is not None:
                 self.pool.warmup(warmup_images)
+                if twin is not None and self.config.probe_every_batches > 0:
+                    twin.arm(warmup_images)  # not on a dispatcher, mid-traffic
             self.pool.start()
         except BaseException:
             self.close(drain=False)

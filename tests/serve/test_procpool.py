@@ -21,6 +21,7 @@ servers here are module-scoped where the test semantics allow it.
 
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -237,6 +238,9 @@ class TestHealth:
         deployed, images = deployed_lenet
         server = _process_server(deployed, images, probe_every_batches=1)
         try:
+            # The probe reference is armed at start-up, before any traffic.
+            twin = server.pool.replicas[0].health_probe.__self__
+            assert twin.probe_images is not None
             rows = _requests(images.shape[1:], 4, seed=5)
             server.submit(rows, timeout=60.0)
             server.submit(rows, timeout=60.0)
@@ -301,3 +305,26 @@ class TestLifecycle(PoolContract):
         assert len(spawned) == 2
         assert not any(process.is_alive() for process in spawned)
         assert pool.worker_pids() == []
+
+    def test_failed_warmup_awaits_every_run_before_raising(self, monkeypatch):
+        """When one worker dies during warm-up, the server raises only
+        after every other worker's warm-up run has returned, so the
+        close that follows never races a run still in flight (the autouse
+        leak guard checks that no process, ring, slab or thread survives)."""
+        finished = []
+        original = ProcessWorker.run
+
+        def run(worker, lease, shape, timeout_s):
+            if worker.index == 0:
+                worker._kill()  # dies before answering: WorkerDied
+            else:
+                time.sleep(0.5)  # still in flight when worker 0 fails
+            logits = original(worker, lease, shape, timeout_s)
+            finished.append(worker.index)
+            return logits
+
+        monkeypatch.setattr(ProcessWorker, "run", run)
+        with pytest.raises(WorkerDied):
+            _process_server(self.deployed, np.zeros((2,) + self.row_shape),
+                            workers=2)
+        assert finished == [1]
